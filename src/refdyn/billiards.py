@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import MultiPoly, RatMatrix, as_rational, rat_to_str
+from .core import (
+    MultiPoly, RatMatrix, as_rational, field_kernel, outward_decimals, rat_to_str
+)
 
 NV = 4  # ambient P^3
 
@@ -78,10 +80,6 @@ class CubicHypersurface:
     def __post_init__(self) -> None:
         if self.form.is_zero() or not self.form.is_homogeneous(3):
             raise ValueError("the form must be a nonzero homogeneous cubic")
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.form.nvars - 1
 
     def contains(self, pt: RationalPoint) -> bool:
         return self.form(pt.coords) == 0
@@ -522,36 +520,15 @@ def _fit_line_map(
     pairs: Sequence[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]
 ) -> MobiusMap:
     """2x2 matrix sending the three source parameters to the three images."""
-    rows = []
-    for (zu, zv), (wu, wv) in pairs[:3]:
-        # w x (M z) = 0: wu*(m10 zu + m11 zv) - wv*(m00 zu + m01 zv) = 0
-        rows.append([-wv * zu, -wv * zv, wu * zu, wu * zv])
-    # kernel of the 3x4 system by Gaussian elimination
-    a = [[as_rational(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    ri = 0
-    for col in range(4):
-        pr = next((rr for rr in range(ri, len(a)) if a[rr][col] != 0), None)
-        if pr is None:
-            continue
-        a[ri], a[pr] = a[pr], a[ri]
-        pv = a[ri][col]
-        a[ri] = [x / pv for x in a[ri]]
-        for rr in range(len(a)):
-            if rr != ri and a[rr][col] != 0:
-                fct = a[rr][col]
-                a[rr] = [x - fct * y for x, y in zip(a[rr], a[ri])]
-        pivots.append(col)
-        ri += 1
-    free = [c for c in range(4) if c not in pivots]
-    if len(free) != 1:
+    # w x (M z) = 0: wu*(m10 zu + m11 zv) - wv*(m00 zu + m01 zv) = 0
+    rows = [
+        [-wv * zu, -wv * zv, wu * zu, wu * zv] for (zu, zv), (wu, wv) in pairs[:3]
+    ]
+    kernel = field_kernel(rows, Fraction(0), Fraction(1))
+    if len(kernel) != 1:
         raise IndeterminacyError("probe images do not determine a unique line map")
-    fc = free[0]
-    sol = [Fraction(0)] * 4
-    sol[fc] = Fraction(1)
-    for rr, col in enumerate(pivots):
-        sol[col] = -a[rr][fc]
-    return MobiusMap(RatMatrix([[sol[0], sol[1]], [sol[2], sol[3]]]))
+    sol = kernel[0]
+    return MobiusMap(RatMatrix([sol[:2], sol[2:]]))
 
 
 def return_map(
@@ -741,7 +718,9 @@ def check_configuration(
             return report
         radii.append(abs(z))
     safe_radius = min(radii)
-    report["safe_radius_enclosure"] = _decimal_pair(safe_radius, precision + 1)
+    report["safe_radius_enclosure"] = outward_decimals(
+        safe_radius, safe_radius, precision + 1
+    )
 
     partners = residual_second_points(cfg)
     marked = (cfg.p, cfg.q, cfg.r)
@@ -772,7 +751,9 @@ def check_configuration(
                     entry["status"] = "safe"
                     entry["k0"] = k
                     entry["k0_mod_3"] = k % 3
-                    entry["distance_enclosure"] = _decimal_pair(abs(z), precision + 1)
+                    entry["distance_enclosure"] = outward_decimals(
+                        abs(z), abs(z), precision + 1
+                    )
                     break
         else:
             entry["status"] = "inconclusive"
@@ -781,15 +762,3 @@ def check_configuration(
     all_safe = all(e["status"] == "safe" for e in starts.values())
     report["status"] = "success" if all_safe else "failed"
     return report
-
-
-def _decimal_pair(q: Fraction, digits: int) -> list[str]:
-    scale = 10**digits
-    lo = q.numerator * scale // q.denominator
-    hi = -((-q.numerator * scale) // q.denominator)
-    def fmt(v: int) -> str:
-        sign = "-" if v < 0 else ""
-        v = abs(v)
-        whole, frac = divmod(v, scale)
-        return f"{sign}{whole}.{str(frac).zfill(digits)}"
-    return [fmt(lo), fmt(hi)]

@@ -5,7 +5,9 @@ certificates, drive the billiard configuration search, and expose the germ,
 formal-orbit and transition-system pipelines as JSON/CSV reports.  Reports
 are deterministic byte-for-byte for identical seeds and flags: wall-clock
 timing goes to stderr, never into the report.  The exit status is zero
-exactly when every certificate in the report is satisfied.
+exactly when every certificate in the report is satisfied, 1 when one
+fails, and 2 on bad input or an undecidable question (with a one-line
+message on stderr and no report).
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import billiards, elliptic, germs, picard, transitions
-from .core import char_poly, minimal_poly, rat_from_str, rat_to_str
+from .core import (
+    RatMatrix, UniPoly, char_poly, minimal_poly, rat_from_str, rat_to_str
+)
 
 
 @dataclass
@@ -96,7 +100,7 @@ def _cmd_reproduce(args) -> RunReport:
     if args.target == "general":
         n = args.n
         if n is None or n < 1:
-            raise SystemExit("reproduce general requires --n N with N >= 1")
+            raise ValueError("reproduce general requires --n N with N >= 1")
         triple = picard.degree_tuple_generic(n)
         t = transitions.degree_tuple([1, *triple, 1])
         report.outputs["degree_tuple"] = t.display(digits)
@@ -115,12 +119,12 @@ def _cmd_reproduce(args) -> RunReport:
             action = picard.two_point_action()
             cp = char_poly(action.matrix)
             report.outputs["picard_char_poly"] = cp.format()
-            report.certificates["unipotent_action"] = cp == _pow_poly((-1, 1), 4)
+            report.certificates["unipotent_action"] = cp == UniPoly((-1, 1)) ** 4
         else:
             action = picard.single_reflection_action()
             sq = action.matrix * action.matrix
             report.outputs["picard_char_poly"] = char_poly(action.matrix).format()
-            report.certificates["involution"] = sq == _identity(3)
+            report.certificates["involution"] = sq == RatMatrix.identity(3)
         return report
 
     if args.target == "conic-line":
@@ -173,19 +177,7 @@ def _cmd_reproduce(args) -> RunReport:
                 )
         return report
 
-    raise SystemExit(f"unknown reproduce target {args.target!r}")
-
-
-def _pow_poly(linear, n):
-    from .core import UniPoly
-
-    return UniPoly(linear) ** n
-
-
-def _identity(n):
-    from .core import RatMatrix
-
-    return RatMatrix.identity(n)
+    raise ValueError(f"unknown reproduce target {args.target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def _cmd_billiard(args) -> RunReport:
     if args.action == "orbit":
         cfg = billiards.build_configuration(args.seed)
         if args.start is None:
-            raise SystemExit("billiard orbit requires --start u/v (a parameter on L)")
+            raise ValueError("billiard orbit requires --start u/v (a parameter on L)")
         if ":" in args.start:
             coords = tuple(
                 rat_from_str(c) for c in args.start.strip("() ").split(":")
@@ -279,16 +271,15 @@ def _cmd_billiard(args) -> RunReport:
             report.certificates["passed"] = False
         return report
 
-    raise SystemExit(f"unknown billiard action {args.action!r}")
+    raise ValueError(f"unknown billiard action {args.action!r}")
 
 
-def _parse_seed_range(args) -> list[int]:
+def _parse_seed_range(args) -> range:
     if args.seed_range:
-        lo, _, hi = args.seed_range.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        return args.seed_range
     if args.seed is not None:
-        return [args.seed]
-    raise SystemExit("billiard check requires --seed or --seed-range A..B")
+        return range(args.seed, args.seed + 1)
+    raise ValueError("billiard check requires --seed or --seed-range A..B")
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +295,7 @@ def _cmd_germ(args) -> RunReport:
             "germ evolve",
             {"steps": steps, "seed": args.seed or 0, "order": args.order},
         )
+        columns = ["step", "phase", *(f"d{i}" for i in range(6)), "ratio"]
         try:
             vals = germs.series_evolve(trait, steps, seed=args.seed or 0)
         except germs.CancellationError as exc:
@@ -312,6 +304,9 @@ def _cmd_germ(args) -> RunReport:
                 "component": exc.component,
                 "detail": str(exc),
             }
+            if args.format == "csv":
+                # the header row alone; the failed certificate sets exit 1
+                report.outputs.update(columns=columns, rows=[])
             report.certificates["no_cancellation"] = False
             return report
         rows = []
@@ -324,7 +319,7 @@ def _cmd_germ(args) -> RunReport:
                 if prev:
                     ratio = rat_to_str(Fraction(v.vals[0], prev))
             rows.append([step, v.phase % 3, *v.vals, ratio])
-        report.outputs["columns"] = ["step", "phase", *(f"d{i}" for i in range(6)), "ratio"]
+        report.outputs["columns"] = columns
         report.outputs["rows"] = rows
         report.certificates["no_cancellation"] = True
         return report
@@ -337,14 +332,14 @@ def _cmd_germ(args) -> RunReport:
         report.certificates["all_match"] = pair_report["all_match"]
         return report
 
-    raise SystemExit(f"unknown germ action {args.action!r}")
+    raise ValueError(f"unknown germ action {args.action!r}")
 
 
 def _cmd_elliptic(args) -> RunReport:
     n = args.n
     horizon = 200 if args.horizon is None else args.horizon
     if n is None:
-        raise SystemExit("elliptic check requires --n")
+        raise ValueError("elliptic check requires --n")
     orbit_report = elliptic.avoidance_check(n, horizon)
     report = RunReport("elliptic check", {"n": n, "horizon": horizon})
     report.outputs["report"] = orbit_report
@@ -368,13 +363,13 @@ def _cmd_transition(args) -> RunReport:
         with open(args.matrix_file) as fh:
             system = transitions.TransitionSystem.from_json(fh.read())
         if not args.start:
-            raise SystemExit("--matrix-file requires --start (StateVector JSON)")
+            raise ValueError("--matrix-file requires --start (StateVector JSON)")
         start = transitions.StateVector.from_json(args.start)
         component, period = 0, system.period
         name = args.matrix_file
     else:
         if args.system not in _SYSTEMS:
-            raise SystemExit("--system must be conic-line or triangle")
+            raise ValueError("--system must be conic-line or triangle")
         factory, start_entries, component, period = _SYSTEMS[args.system]
         system = factory()
         start = transitions.StateVector(start_entries)
@@ -413,7 +408,7 @@ def _to_csv(report: RunReport) -> str:
     cols = report.outputs.get("columns")
     rows = report.outputs.get("rows")
     if cols is None or rows is None:
-        raise SystemExit("this subcommand has no CSV form; use --format json")
+        raise ValueError("this subcommand has no CSV form; use --format json")
     lines = [",".join(str(c) for c in cols)]
     lines.extend(",".join(str(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -437,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     bil = sub.add_parser("billiard", help="cubic-surface billiard pipelines")
     bil.add_argument("action", choices=("build", "orbit", "check"))
     bil.add_argument("--seed", type=int, default=None)
-    bil.add_argument("--seed-range", default=None)
+    bil.add_argument("--seed-range", type=_seed_range, default=None)
     bil.add_argument("--start", default=None)
     bil.add_argument("--word", default=None)
     bil.add_argument("--horizon", type=int, default=None)
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     ger.add_argument("action", choices=("evolve", "pairs"))
     ger.add_argument("--steps", type=int, default=None)
     ger.add_argument("--seed", type=int, default=None)
-    ger.add_argument("--order", type=int, default=64)
+    ger.add_argument("--order", type=_int_at_least(2), default=64)
     _common_flags(ger)
     ger.set_defaults(func=_cmd_germ)
 
@@ -471,9 +466,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=int, default=9)
+    p.add_argument("--precision", type=_int_at_least(0), default=9)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}: {text!r}")
+        return int(text)
+
+    return integer
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    try:
+        seeds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected A..B, integers A <= B: {text!r}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -482,11 +497,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report: RunReport = args.func(args)
+        elapsed = time.monotonic() - started
+        text = _to_csv(report) if args.format == "csv" else report.to_json()
     except (ValueError, RuntimeError) as exc:
         print(f"refdyn {args.command}: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - started
-    text = _to_csv(report) if args.format == "csv" else report.to_json()
     _emit(text, args.out)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if report.ok() else 1

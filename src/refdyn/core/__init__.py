@@ -5,7 +5,7 @@ from .factor import factor_over_rationals, rational_roots
 from .matrix import RatMatrix, char_poly, minimal_poly
 from .multipoly import MultiPoly, common_monomial_factor, divide_monomial
 from .numberfield import NumberFieldElement, field_kernel
-from .rationals import Rational, as_rational, rat_from_str, rat_to_str
+from .rationals import Rational, as_rational, outward_decimals, rat_from_str, rat_to_str
 from .roots import (
     AlgebraicReal,
     abs_cmp,
@@ -15,7 +15,6 @@ from .roots import (
     cmp_with_rational,
     count_roots_in,
     isolate_real_roots,
-    refine,
     sturm_chain,
 )
 from .series import TruncatedSeries, TruncationExhausted, substitute_series, valuation
@@ -24,6 +23,7 @@ from .unipoly import UniPoly, poly_from_roots
 __all__ = [
     "Rational",
     "as_rational",
+    "outward_decimals",
     "rat_from_str",
     "rat_to_str",
     "UniPoly",
@@ -42,7 +42,6 @@ __all__ = [
     "rational_roots",
     "AlgebraicReal",
     "isolate_real_roots",
-    "refine",
     "sturm_chain",
     "count_roots_in",
     "cauchy_root_bound",

@@ -3,7 +3,7 @@
 The characteristic polynomial is computed by the Faddeev-LeVerrier recursion,
 which only ever divides by integers so every step stays exact; the minimal
 polynomial comes from Krylov sequences (first linear dependence among the
-iterates of each basis vector, lcm over the basis).
+iterates of each basis vector, read off `field_kernel`; lcm over the basis).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .numberfield import field_kernel
 from .rationals import RationalLike, as_rational
 from .unipoly import UniPoly
 
@@ -143,10 +144,9 @@ def char_poly(m: RatMatrix) -> UniPoly:
 def minimal_poly(m: RatMatrix) -> UniPoly:
     """Monic polynomial of least degree annihilating m.
 
-    For each standard basis vector e, the Krylov sequence e, m e, m^2 e, ...
-    is extended until the first exact linear dependence; the recorded
-    combination is the minimal polynomial of m relative to e, and the lcm
-    over the basis is the minimal polynomial of m.
+    For each standard basis vector e, the first exact linear dependence
+    among e, m e, m^2 e, ... is the minimal polynomial of m relative to e,
+    and the lcm over the basis is the minimal polynomial of m.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
@@ -162,39 +162,12 @@ def minimal_poly(m: RatMatrix) -> UniPoly:
 
 
 def _krylov_minimal(m: RatMatrix, v: list[Fraction]) -> UniPoly:
-    """Least monic p with p(m) v = 0, via incremental row reduction.
+    """Least monic p with p(m) v = 0.
 
-    ``echelon`` holds reduced Krylov vectors together with the coordinates
-    expressing them in terms of m^k v, so the first vanishing reduction
-    yields the dependence coefficients directly.
+    The first kernel vector of the Krylov matrix [v, m v, ..., m^n v]: its
+    free column is the first iterate that depends on the ones before it.
     """
-    n = m.rows
-    echelon: list[tuple[list[Fraction], int, list[Fraction]]] = []
-    cur = list(v)
-    k = 0
-    while True:
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        red = list(cur)
-        for row, pivot, row_combo in echelon:
-            f = red[pivot]
-            if f:
-                for i in range(n):
-                    red[i] -= f * row[i]
-                for i, c in enumerate(row_combo):
-                    if c:
-                        combo[i] -= f * c
-        pivot = next((i for i, x in enumerate(red) if x), None)
-        if pivot is None:
-            return UniPoly(combo).monic()
-        inv = 1 / red[pivot]
-        red = [x * inv for x in red]
-        combo = [x * inv for x in combo]
-        combo.extend(Fraction(0) for _ in range(n + 1 - len(combo)))
-        echelon.append((red, pivot, combo))
-        cur = list(m.matvec(cur))
-        k += 1
-
-
-def matrix_from_int_rows(rows: Sequence[Sequence[int]]) -> RatMatrix:
-    return RatMatrix(rows)
+    krylov = [tuple(v)]
+    for _ in range(m.rows):
+        krylov.append(m.matvec(krylov[-1]))
+    return UniPoly(field_kernel(list(zip(*krylov)), Fraction(0), Fraction(1))[0])

@@ -3,7 +3,7 @@
 Used to decide, without any floating point, whether eigenvector components
 vanish: the eigenvalue's irreducible factor is the modulus, the eigenvalue
 itself is the class of x, and kernels of matrices over the field come from
-Gaussian elimination with exact field inverses (extended Euclid).
+`field_kernel`, the package's one Gaussian elimination (also used over Q).
 
 The constructor checks that the modulus is monic non-constant; irreducibility
 is the caller's contract (moduli here always come out of the factorizer).
@@ -13,11 +13,12 @@ which extended Euclid verifies on the fly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .rationals import RationalLike, as_rational
 from .unipoly import UniPoly
+
+F = TypeVar("F")
 
 
 class NumberFieldElement:
@@ -91,40 +92,36 @@ class NumberFieldElement:
     def __truediv__(self, other: "NumberFieldElement") -> "NumberFieldElement":
         return self * other.inverse()
 
-    def evaluate_at(self, x: RationalLike) -> Fraction:
-        """Evaluate the representative polynomial at a rational (embedding aid)."""
-        return self.rep(as_rational(x))
-
     def __repr__(self) -> str:
         return f"NFE({self.rep.format()} mod {self.modulus.format()})"
 
 
-def field_kernel(
-    rows: Sequence[Sequence[NumberFieldElement]],
-) -> list[list[NumberFieldElement]]:
-    """Basis of the right kernel of a matrix over the number field."""
+def field_kernel(rows: Sequence[Sequence[F]], zero: F, one: F) -> list[list[F]]:
+    """Basis of the right kernel of a matrix over an exact field.
+
+    Fractions and NumberFieldElements both work: only ``!=``, ``*``, ``-``
+    and ``/`` are used.  Vectors come by increasing free column of the
+    reduced echelon form, each with a one there and zeros at the other free
+    columns, so the first expresses the first column dependent on earlier ones.
+    """
     if not rows:
         raise ValueError("empty matrix")
-    modulus = rows[0][0].modulus
     ncols = len(rows[0])
     a = [list(r) for r in rows]
-    zero = NumberFieldElement.from_rational(modulus, 0)
-    one = NumberFieldElement.from_rational(modulus, 1)
     pivots: list[int] = []
-    ri = 0
     for col in range(ncols):
-        pr = next((r for r in range(ri, len(a)) if not a[r][col].is_zero()), None)
+        ri = len(pivots)
+        pr = next((r for r in range(ri, len(a)) if a[r][col] != zero), None)
         if pr is None:
             continue
         a[ri], a[pr] = a[pr], a[ri]
-        inv = a[ri][col].inverse()
+        inv = one / a[ri][col]
         a[ri] = [x * inv for x in a[ri]]
         for r in range(len(a)):
-            if r != ri and not a[r][col].is_zero():
+            if r != ri and a[r][col] != zero:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[ri])]
         pivots.append(col)
-        ri += 1
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols

@@ -44,3 +44,22 @@ def rat_to_str(q: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def outward_decimals(lo: Fraction, hi: Fraction, digits: int) -> tuple[str, str]:
+    """Decimal strings with ``digits`` places enclosing [lo, hi], for display.
+
+    Both ends are rounded outward, each by less than 10^-digits, so for
+    hi - lo < 10^-digits the strings can be up to 2*10^-digits apart.
+    """
+    if digits < 0:
+        raise ValueError("digits must be non-negative")
+    scale = 10**digits
+    down = lo.numerator * scale // lo.denominator
+    up = -(-hi.numerator * scale // hi.denominator)
+    out = []
+    for scaled in (down, up):
+        whole, frac = divmod(abs(scaled), scale)
+        text = ("-" if scaled < 0 else "") + str(whole)
+        out.append(f"{text}.{frac:0{digits}d}" if digits else text)
+    return out[0], out[1]

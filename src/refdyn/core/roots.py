@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import RationalLike, as_rational, rat_to_str
+from .rationals import RationalLike, as_rational, outward_decimals, rat_to_str
 from .unipoly import UniPoly
 
 _MAX_REFINE_ROUNDS = 256
@@ -157,29 +157,9 @@ class AlgebraicReal:
         return cur
 
     def decimal_enclosure(self, digits: int) -> tuple[str, str]:
-        """Decimal strings (lo, hi) enclosing the root, width < 10^-digits."""
+        """Decimal strings (lo, hi) enclosing the root, up to 2*10^-digits apart."""
         a = self.refined(Fraction(1, 10**digits))
-        scale = 10**digits
-        lo_i = _floor_div(a.lo.numerator * scale, a.lo.denominator)
-        hi_i = -_floor_div(-a.hi.numerator * scale, a.hi.denominator)
-        return _dec(lo_i, digits), _dec(hi_i, digits)
-
-
-def refine(a: AlgebraicReal, eps: RationalLike) -> AlgebraicReal:
-    return a.refined(eps)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def _dec(scaled: int, digits: int) -> str:
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return outward_decimals(a.lo, a.hi, digits)
 
 
 def isolate_real_roots(p: UniPoly) -> list[AlgebraicReal]:

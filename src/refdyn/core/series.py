@@ -67,19 +67,6 @@ class TruncatedSeries:
             (a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            (a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries((-a for a in self.coeffs), self.order)
-
-    def scale(self, c: RationalLike) -> "TruncatedSeries":
-        c = as_rational(c)
-        return TruncatedSeries((c * a for a in self.coeffs), self.order)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         n = self.order
@@ -91,29 +78,6 @@ class TruncatedSeries:
                     if b:
                         out[i + j] += a * b
         return TruncatedSeries(out, n)
-
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative power")
-        result = TruncatedSeries.t_power(0, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Exact division by t^k; the window shrinks, tail padded as unknown-zero."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if any(self.coeffs[i] for i in range(min(k, self.order))):
-            raise ValueError(f"series is not divisible by t^{k}")
-        return TruncatedSeries(self.coeffs[k:], self.order)
-
-    def is_stored_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def valuation(s: TruncatedSeries) -> int:

@@ -394,8 +394,8 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
             [nfe(m[j, i]) - (theta if i == j else nfe(0)) for j in range(n)]
             for i in range(n)
         ]
-        right = field_kernel(a_right)
-        left = field_kernel(a_left)
+        right = field_kernel(a_right, nfe(0), nfe(1))
+        left = field_kernel(a_left, nfe(0), nfe(1))
         if len(right) != 1 or len(left) != 1:
             failures.append("eigenspace is not one-dimensional over the field")
         else:

@@ -72,8 +72,42 @@ def test_reproduce_reports_are_deterministic(capsys):
 
 
 def test_reproduce_general_requires_n(capsys):
-    with pytest.raises(SystemExit):
-        main(["reproduce", "general"])
+    assert main(["reproduce", "general"]) == 2
+    assert "requires --n" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "elliptic check",
+        "germ pairs --format csv",
+        "germ evolve --order 1",
+        "billiard check --seed-range 5..3",
+        "billiard check --seed 7 --precision -1",
+        "reproduce triangle --precision -1",
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    assert exit_code(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
+
+
+def test_germ_evolve_csv_cancellation_is_a_failed_certificate(capsys):
+    code, out = run_cli(
+        capsys, "germ", "evolve", "--seed", "95", "--order", "32", "--format", "csv"
+    )
+    assert code == 1
+    assert out == "step,phase,d0,d1,d2,d3,d4,d5,ratio\n"
 
 
 def test_module_errors_become_clean_exit(capsys):

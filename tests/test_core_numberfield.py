@@ -42,7 +42,7 @@ def test_kernel_of_eigen_system():
     one = nfe(1)
     zero = nfe()
     a = [[zero - theta, one], [nfe(2), nfe(5) - theta]]
-    basis = field_kernel(a)
+    basis = field_kernel(a, zero, one)
     assert len(basis) == 1
     v = basis[0]
     for row in a:

@@ -13,7 +13,6 @@ from refdyn.core import (
     count_roots_in,
     isolate_real_roots,
     poly_from_roots,
-    refine,
 )
 
 
@@ -62,7 +61,7 @@ def test_isolate_rejects_zero():
 
 def test_refine_sqrt2():
     a = isolate_real_roots(P(-2, 0, 1))[-1]
-    b = refine(a, Fraction(1, 10**6))
+    b = a.refined(Fraction(1, 10**6))
     assert b.width() < Fraction(1, 10**6)
     assert b.lo < Fraction(1414214, 10**6) < b.hi  # sqrt(2) = 1.41421356...
     # the defining polynomial changes sign over the refined interval
@@ -71,7 +70,7 @@ def test_refine_sqrt2():
 
 def test_refine_rational_root():
     a = AlgebraicReal.from_rational(Fraction(3, 7))
-    b = refine(a, Fraction(1, 10**9))
+    b = a.refined(Fraction(1, 10**9))
     assert b.width() < Fraction(1, 10**9)
     assert b.contains_rational(Fraction(3, 7))
 

@@ -78,9 +78,3 @@ def test_series_mul_truncates():
     b = a * a
     assert b == S([1, 2, 3, 4], 4)
 
-
-def test_shift_down():
-    a = S([0, 0, 2, 3], 4)
-    assert a.shift_down(2) == S([2, 3], 4)
-    with pytest.raises(ValueError):
-        S([1, 0], 2).shift_down(1)

@@ -1,0 +1,103 @@
+"""The exact elimination kernel and the polynomials built on it, against sympy.
+
+Oracle-only: these tests add no behaviour and are skipped without sympy.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from refdyn.core import RatMatrix, UniPoly, char_poly, field_kernel, minimal_poly
+
+sympy = pytest.importorskip("sympy")
+
+
+def _random_matrix(rng, rows, cols, rank):
+    """Integer rows x cols matrix of rank at most `rank` (a product B C)."""
+    b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    c = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+
+
+def test_field_kernel_matches_sympy_nullspace():
+    rng = random.Random(2024)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        a = _random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        kernel = field_kernel(
+            [[Fraction(x) for x in row] for row in a], Fraction(0), Fraction(1)
+        )
+        oracle = sympy.Matrix(a).nullspace()
+        assert len(kernel) == len(oracle)
+        for v in kernel:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+        if kernel:
+            ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                                 for v in kernel]).T
+            assert sympy.Matrix.hstack(ours, *oracle).rank() == len(kernel)
+
+
+def _evaluate(p: UniPoly, m: RatMatrix) -> RatMatrix:
+    result = RatMatrix.zero(m.rows, m.cols)
+    for c in reversed(p.coeffs):
+        result = result * m + RatMatrix.identity(m.rows).scale(c)
+    return result
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _conjugate_unimodular(rng, m):
+    """u m u^-1 for a random integer u of determinant one."""
+    n = len(m)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        # row_i += k row_j on u; column_j -= k column_i on its inverse
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= k * row[i]
+    um = RatMatrix(u) * RatMatrix(m) * RatMatrix(u_inv)
+    return um.to_int_lists()
+
+
+def _matrices(rng):
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        yield [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(15):
+        # derogatory: a repeated block next to a scalar block
+        k = rng.randint(1, 2)
+        block = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        c = rng.randint(-2, 2)
+        yield _conjugate_unimodular(rng, _block_diagonal([block, block, [[c]]]))
+
+
+def test_minimal_poly_is_the_least_annihilator():
+    rng = random.Random(11)
+    x = sympy.Symbol("x")
+    for entries in _matrices(rng):
+        m = RatMatrix(entries)
+        mp = minimal_poly(m)
+        cp = char_poly(m)
+        assert cp.coeffs == tuple(
+            Fraction(int(c)) for c in reversed(sympy.Matrix(entries).charpoly(x).all_coeffs())
+        )
+        assert _evaluate(mp, m) == RatMatrix.zero(m.rows, m.cols)
+        assert (cp % mp).is_zero()
+        _, factors = sympy.factor_list(sympy.Poly([int(c) for c in reversed(mp.coeffs)], x))
+        for f, _ in factors:
+            divisor = UniPoly(int(c) for c in reversed(f.all_coeffs()))
+            proper = mp.divmod(divisor)[0]
+            assert _evaluate(proper, m) != RatMatrix.zero(m.rows, m.cols)
