@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("target", choices=("general", "conic-line", "triangle"))
     rep.add_argument("--n", type=int, default=None)
     rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--horizon", type=int, default=None)
+    rep.add_argument("--horizon", type=_int_at_least(1), default=None)
     _common_flags(rep)
     rep.set_defaults(func=_cmd_reproduce)
 
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     bil.add_argument("--seed-range", type=_seed_range, default=None)
     bil.add_argument("--start", default=None)
     bil.add_argument("--word", default=None)
-    bil.add_argument("--horizon", type=int, default=None)
+    bil.add_argument("--horizon", type=_int_at_least(1), default=None)
     _common_flags(bil)
     bil.set_defaults(func=_cmd_billiard)
 
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     ell = sub.add_parser("elliptic", help="formal orbit avoidance checks")
     ell.add_argument("action", choices=("check",))
     ell.add_argument("--n", type=int, default=None)
-    ell.add_argument("--horizon", type=int, default=None)
+    ell.add_argument("--horizon", type=_int_at_least(1), default=None)
     _common_flags(ell)
     ell.set_defaults(func=_cmd_elliptic)
 
@@ -499,7 +499,7 @@ def main(argv=None) -> int:
         report: RunReport = args.func(args)
         elapsed = time.monotonic() - started
         text = _to_csv(report) if args.format == "csv" else report.to_json()
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"refdyn {args.command}: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

@@ -4,8 +4,12 @@ An AlgebraicReal is a square-free primitive integer polynomial together with
 an open rational interval containing exactly one of its real roots; the count
 is certified by a Sturm sequence, never by floating point.  Every comparison
 in the package that feeds a certificate goes through the exact machinery
-here: interval refinement decides strict inequalities, and exact ties are
-settled through gcds of defining polynomials.
+here: interval refinement decides strict inequalities, and an exact tie is
+settled by one Sturm count of the gcd of the defining polynomials on the
+overlap of the two intervals.
+Intervals derived here (bisection halves, isolated roots) carry their
+parent's Sturm chain and are not re-checked: the Sturm count that produced
+them proves that they isolate one root.
 """
 
 from __future__ import annotations
@@ -86,6 +90,13 @@ class AlgebraicReal:
         self._chain: list[UniPoly] | None = None
 
     @classmethod
+    def _certified(cls, poly, lo, hi, chain) -> "AlgebraicReal":
+        """An interval a Sturm count has already proved isolating; checks nothing."""
+        self = object.__new__(cls)
+        self.poly, self.lo, self.hi, self._chain = poly, lo, hi, chain
+        return self
+
+    @classmethod
     def from_rational(cls, q: RationalLike) -> "AlgebraicReal":
         q = as_rational(q)
         poly = UniPoly((-q.numerator, q.denominator))
@@ -135,16 +146,19 @@ class AlgebraicReal:
 
     def _bisect_once(self) -> "AlgebraicReal":
         mid = self.midpoint()
+        chain = self.chain()
         if self.poly(mid) == 0:
             # the unique root is mid itself; shrink symmetrically around it,
             # nudging endpoints off the remaining roots of the polynomial
             delta = min(mid - self.lo, self.hi - mid) / 4
             while self.poly(mid - delta) == 0 or self.poly(mid + delta) == 0:
                 delta /= 2
-            return AlgebraicReal(self.poly, mid - delta, mid + delta)
-        if count_roots_in(self.poly, self.lo, mid) == 1:
-            return AlgebraicReal(self.poly, self.lo, mid)
-        return AlgebraicReal(self.poly, mid, self.hi)
+            lo, hi = mid - delta, mid + delta
+        elif sign_variations_at(chain, self.lo) - sign_variations_at(chain, mid) == 1:
+            lo, hi = self.lo, mid
+        else:
+            lo, hi = mid, self.hi
+        return AlgebraicReal._certified(self.poly, lo, hi, chain)
 
     def refined(self, eps: RationalLike) -> "AlgebraicReal":
         """Same root, interval width < eps, by exact bisection."""
@@ -179,23 +193,22 @@ def isolate_real_roots(p: UniPoly) -> list[AlgebraicReal]:
         lo -= 1
     while sf(hi) == 0:
         hi += 1
-    total = count_roots_in(sf, lo, hi)
+    chain = sturm_chain(sf)
     out: list[AlgebraicReal] = []
 
-    def split(a: Fraction, b: Fraction, count: int) -> None:
-        if count == 0:
-            return
-        if count == 1:
-            out.append(AlgebraicReal(sf, a, b))
-            return
-        mid = (a + b) / 2
-        while sf(mid) == 0:
-            mid = (a + mid) / 2
-        left = count_roots_in(sf, a, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
+    def split(a: Fraction, va: int, b: Fraction, vb: int) -> None:
+        # va, vb: sign variations of the chain at a and b; va - vb roots in (a, b)
+        if va - vb == 1:
+            out.append(AlgebraicReal._certified(sf, a, b, chain))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            while sf(mid) == 0:
+                mid = (a + mid) / 2
+            vm = sign_variations_at(chain, mid)
+            split(a, va, mid, vm)
+            split(mid, vm, b, vb)
 
-    split(lo, hi, total)
+    split(lo, sign_variations_at(chain, lo), hi, sign_variations_at(chain, hi))
     out.sort(key=lambda r: r.lo)
     return out
 
@@ -204,30 +217,17 @@ def isolate_real_roots(p: UniPoly) -> list[AlgebraicReal]:
 
 
 def algebraic_equal(a: AlgebraicReal, b: AlgebraicReal) -> bool:
-    """Exact equality of the represented roots via gcd of defining polynomials.
+    """Exact equality by one Sturm count of g = gcd(a.poly, b.poly).
 
-    A common root must be a root of g = gcd(a.poly, b.poly); a root of g
-    lying strictly inside both isolating intervals is necessarily the root
-    of a and of b at once.  Interval endpoints are never roots of the
-    defining polynomials, so refinement always decides membership.
+    The count runs on the overlap (lo, hi) of the two intervals.  Its ends
+    are endpoints of a or b, so they are not roots of g, which divides both
+    polynomials; a root of g in the overlap is the unique root of a and of b.
     """
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
     g = a.poly.gcd(b.poly)
-    if g.degree < 1:
-        return False
-    for r in isolate_real_roots(g):
-        rr = r
-        for _ in range(_MAX_REFINE_ROUNDS):
-            if lo < rr.lo and rr.hi < hi:
-                return True
-            if rr.hi <= lo or hi <= rr.lo:
-                break
-            rr = rr._bisect_once()
-        else:
-            raise ArithmeticError("root membership did not resolve")
-    return False
+    return g.degree >= 1 and count_roots_in(g, lo, hi) > 0
 
 
 def algebraic_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
@@ -269,7 +269,6 @@ def abs_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
 
 
 def _negate(a: AlgebraicReal) -> AlgebraicReal:
-    poly = UniPoly(
-        (-1) ** i * c for i, c in enumerate(a.poly.coeffs)
-    )
-    return AlgebraicReal(poly, -a.hi, -a.lo)
+    # x -> -x maps the roots of a.poly one to one onto those of poly
+    poly = UniPoly((-1) ** i * c for i, c in enumerate(a.poly.coeffs)).primitive()
+    return AlgebraicReal._certified(poly, -a.hi, -a.lo, None)

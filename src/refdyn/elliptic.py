@@ -109,18 +109,26 @@ def avoidance_check(n: int, horizon: int) -> dict:
     hits: list[dict] = []
     certificates: dict[str, dict] = {}
     for i in range(1, n + 1):
-        cur = FormalPoint.basis(i, n)
+        # the moving point is sign * v: reflecting through p_k gives
+        # -sign * (v + sign * e_k), so a step touches one coefficient, and
+        # the point is p_k exactly when v has one nonzero entry, sign at k
+        v = [0] * n
+        v[i - 1] = 1
+        sign, nonzero = 1, 1
         k = i % n + 1
         own_coeffs: list[int] = []
         flips_ok = True
         for step in range(horizon):
-            if cur == FormalPoint.basis(k, n):
+            if nonzero == 1 and sign * v[k - 1] == 1:
                 hits.append({"start": i, "step": step, "reflection": k})
-            before = cur.coefficient_of(i)
-            cur = reflect(k, cur)
+            before = sign * v[i - 1]
+            nonzero -= v[k - 1] != 0
+            v[k - 1] += sign
+            nonzero += v[k - 1] != 0
+            sign = -sign
             if k == i:
-                own_coeffs.append(cur.coefficient_of(i))
-            elif cur.coefficient_of(i) != -before:
+                own_coeffs.append(sign * v[i - 1])
+            elif sign * v[i - 1] != -before:
                 flips_ok = False
             k = k % n + 1
         if n % 2 == 0:
@@ -130,9 +138,7 @@ def avoidance_check(n: int, horizon: int) -> dict:
                 "base_is_zero": bool(own_coeffs and own_coeffs[0] == 0),
                 "step_decrements": own_coeffs == expected,
                 "sign_flips_between": flips_ok,
-                "conclusive": bool(
-                    own_coeffs == expected and flips_ok and len(own_coeffs) >= 3
-                ),
+                "conclusive": own_coeffs == expected and flips_ok and len(own_coeffs) >= 3,
             }
     certificate: dict = {}
     if n % 2 == 0:
@@ -140,10 +146,4 @@ def avoidance_check(n: int, horizon: int) -> dict:
             "coeffs_after_sigma1": certificates["1"]["coeffs_after_own_reflection"],
             "starts": certificates,
         }
-    report = {
-        "N": n,
-        "horizon": horizon,
-        "hits": hits,
-        "certificate": certificate,
-    }
-    return report
+    return {"N": n, "horizon": horizon, "hits": hits, "certificate": certificate}

@@ -573,10 +573,10 @@ _LOG_CONCAVITY_ROUNDS = 96
 def check_log_concavity(t: DegreeTuple) -> tuple[bool, list[dict]]:
     """Certify lambda_j^2 >= lambda_{j-1} * lambda_{j+1} for interior j.
 
-    Strict inequalities are decided by exact interval refinement; persistent
-    overlaps are resolved by exact equality tests on defining polynomials
-    (the only ties that occur are genuine equalities).  Returns the verdict
-    and a per-index certificate recording the refined intervals.
+    An all-equal triple is a tie, decided first by exact equality tests on
+    the defining polynomials; other triples are decided by exact interval
+    refinement.  Returns the verdict and a per-index certificate recording
+    the refined intervals.
     """
     certificate: list[dict] = []
     verdict = True
@@ -601,6 +601,8 @@ def _certify_square_vs_product(
             "rhs": rat_to_str(qb * qc),
             "holds": holds,
         }
+    if algebraic_equal(b, c) and algebraic_equal(a, b):
+        return True, {"decided_by": "exact-equality", "holds": True}
     x, y, z = a, b, c
     for _ in range(_LOG_CONCAVITY_ROUNDS):
         if x.lo > 0 and y.lo > 0 and z.lo > 0:
@@ -618,7 +620,4 @@ def _certify_square_vs_product(
                 cert["holds"] = False
                 return False, cert
         x, y, z = x._bisect_once(), y._bisect_once(), z._bisect_once()
-    # persistent overlap: an exact tie
-    if algebraic_equal(b, c) and algebraic_equal(a, b):
-        return True, {"decided_by": "exact-equality", "holds": True}
     raise ArithmeticError("log-concavity comparison undecided at maximum refinement")

@@ -93,6 +93,8 @@ def exit_code(argv):
         "billiard check --seed-range 5..3",
         "billiard check --seed 7 --precision -1",
         "reproduce triangle --precision -1",
+        "billiard check --seed 0 --horizon 0",
+        "elliptic check --n 4 --horizon -1",
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -100,6 +102,18 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+def test_undecided_arithmetic_exits_2(capsys, monkeypatch):
+    def undecided(t):
+        raise ArithmeticError("log-concavity comparison undecided at maximum refinement")
+
+    monkeypatch.setattr("refdyn.transitions.check_log_concavity", undecided)
+    assert main(["reproduce", "general", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "undecided" in captured.err
 
 
 def test_germ_evolve_csv_cancellation_is_a_failed_certificate(capsys):

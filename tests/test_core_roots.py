@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import refdyn.core.roots
 from refdyn.core import (
     AlgebraicReal,
     UniPoly,
@@ -133,3 +134,62 @@ def test_decimal_enclosure():
     assert float(lo) <= 5.372281323269014 <= float(hi)
     # printed width: true width (< 1e-9) plus one outward rounding on each side
     assert float(hi) - float(lo) < 3e-9
+
+
+# Intervals derived by isolation and bisection are not re-checked; the public
+# constructor, which checks everything, must accept every one of them.
+DERIVED_CASES = [
+    poly_from_roots([-3, Fraction(1, 2), 2, 5]),  # rational roots
+    P(-2, 0, 1) * P(-3, 0, 1) * P(-1, -4, 1),  # irrational roots
+    # 0 is the midpoint of the symmetric starting interval of isolation
+    poly_from_roots([0, Fraction(1, 2), 1, Fraction(-1, 2)]) * P(-2, 0, 1),
+    # each root is hit by a midpoint while refining its isolating interval
+    poly_from_roots([-2, 1, 3]),
+]
+
+
+def _assert_public_constructor_accepts(r, poly):
+    assert r.poly == poly
+    again = AlgebraicReal(r.poly, r.lo, r.hi)
+    assert (again.poly, again.lo, again.hi) == (r.poly, r.lo, r.hi)
+
+
+@pytest.mark.parametrize(
+    "f",
+    DERIVED_CASES,
+    ids=["rational", "irrational", "isolation-midpoint", "bisection-midpoint"],
+)
+def test_derived_intervals_pass_the_public_constructor(f):
+    roots = isolate_real_roots(f)
+    assert len(roots) == count_roots_in(f, -100, 100)
+    poly = f.square_free_part().primitive()
+    for r in roots:
+        _assert_public_constructor_accepts(r, poly)
+        cur = r
+        for _ in range(30):
+            cur = cur._bisect_once()
+            _assert_public_constructor_accepts(cur, poly)
+        _assert_public_constructor_accepts(r.refined(Fraction(1, 10**20)), poly)
+
+
+def test_negated_interval_passes_the_public_constructor():
+    for f in DERIVED_CASES:
+        for r in isolate_real_roots(f):
+            neg = refdyn.core.roots._negate(r.refined(Fraction(1, 10**6)))
+            assert neg.poly.leading() > 0
+            _assert_public_constructor_accepts(neg, neg.poly)
+            assert cmp_with_rational(neg, 0) == -cmp_with_rational(r, 0)
+
+
+def test_refinement_builds_one_sturm_chain(monkeypatch):
+    built = []
+    original = refdyn.core.roots.sturm_chain
+
+    def counting(f):
+        built.append(f)
+        return original(f)
+
+    monkeypatch.setattr(refdyn.core.roots, "sturm_chain", counting)
+    fine = isolate_real_roots(P(-2, 0, 1))[-1].refined(Fraction(1, 10**40))
+    assert fine.width() < Fraction(1, 10**40)
+    assert len(built) == 1

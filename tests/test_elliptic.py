@@ -110,6 +110,33 @@ def test_avoidance_even_long_horizons():
             assert coeffs_seq == [-(m - 1) for m in range(1, len(coeffs_seq) + 1)]
 
 
+def _avoidance_by_points(n, horizon):
+    """Hits and own-reflection coefficients of the cyclic word, walked on
+    FormalPoints with reflect()."""
+    hits, own = [], {}
+    for i in range(1, n + 1):
+        cur, k, own[str(i)] = FormalPoint.basis(i, n), i % n + 1, []
+        for step in range(horizon):
+            if cur == FormalPoint.basis(k, n):
+                hits.append({"start": i, "step": step, "reflection": k})
+            cur = reflect(k, cur)
+            if k == i:
+                own[str(i)].append(cur.coefficient_of(i))
+            k = k % n + 1
+    return hits, own
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_avoidance_check_matches_a_walk_on_points(n):
+    for horizon in (1, 2, n, 3 * n + 1, 150):
+        report = avoidance_check(n, horizon)
+        hits, own = _avoidance_by_points(n, horizon)
+        assert report["hits"] == hits
+        if n % 2 == 0:
+            starts = report["certificate"]["starts"]
+            assert {i: c["coeffs_after_own_reflection"] for i, c in starts.items()} == own
+
+
 def test_avoidance_check_validation():
     with pytest.raises(ValueError):
         avoidance_check(2, 10)

@@ -22,6 +22,16 @@ GOLDEN = [
         "5571321d2a121fd657fcc3c91afd9a25d0fba358136c4a8fb9522d1d685910c7",
     ),
     (
+        "reproduce conic-line --precision 49",
+        0,
+        "f2f0e3426f8cea5d5197c2ac410f85d012d5dec8b1949f200421fbe5aa7a846d",
+    ),
+    (
+        "reproduce triangle --seed 1",
+        0,
+        "f955523dab445d6c9ec764f02564ad5db995d30fcbab2e99ae1eb98bda528b6d",
+    ),
+    (
         "reproduce general --n 5",
         0,
         "5f7e73e74fcc0385d4c5d607c24273755d295acdd7614abbb9b0cbeaed7291b3",

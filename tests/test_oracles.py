@@ -1,4 +1,5 @@
-"""The exact elimination kernel and the polynomials built on it, against sympy.
+"""The exact core against sympy: the elimination kernel, the polynomials
+built on it, real root isolation and exact comparison of algebraic reals.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy.
 """
@@ -8,7 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from refdyn.core import RatMatrix, UniPoly, char_poly, field_kernel, minimal_poly
+from refdyn.core import (
+    RatMatrix,
+    UniPoly,
+    algebraic_cmp,
+    algebraic_equal,
+    char_poly,
+    field_kernel,
+    isolate_real_roots,
+    minimal_poly,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -101,3 +111,61 @@ def test_minimal_poly_is_the_least_annihilator():
             divisor = UniPoly(int(c) for c in reversed(f.all_coeffs()))
             proper = mp.divmod(divisor)[0]
             assert _evaluate(proper, m) != RatMatrix.zero(m.rows, m.cols)
+
+
+def _random_factor(rng):
+    """Integer coefficients, low to high, of a random factor of degree 1-3."""
+    degree = rng.randint(1, 3)
+    return [rng.randint(-5, 5) for _ in range(degree)] + [rng.randint(1, 3)]
+
+
+def _random_poly(rng, max_degree):
+    """A product of random factors, some squared, of degree 1..max_degree."""
+    p = UniPoly((1,))
+    while True:
+        f = UniPoly(_random_factor(rng)) ** rng.choice((1, 1, 2))
+        if p.degree + f.degree <= max_degree:
+            p = p * f
+        elif p.degree >= 1:
+            return p
+        if p.degree >= 1 and rng.random() < 0.25:
+            return p
+
+
+def _sympy_real_roots(p: UniPoly):
+    """Distinct real roots, ascending, as exact sympy numbers (CRootOf or Rational)."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([_rat(c) for c in reversed(p.coeffs)], x)
+    return [r for r, _ in poly.real_roots(multiple=False, radicals=False)]
+
+
+def _rat(q: Fraction):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def test_isolate_real_roots_matches_sympy():
+    rng = random.Random(31)
+    for _ in range(40):
+        p = _random_poly(rng, 6)
+        ours = isolate_real_roots(p)
+        theirs = _sympy_real_roots(p)
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, ours[1:]):
+            assert a.hi <= b.lo
+        for r, t in zip(ours, theirs):
+            assert [u for u in theirs if _rat(r.lo) < u < _rat(r.hi)] == [t]
+
+
+def test_algebraic_equal_and_cmp_match_sympy():
+    rng = random.Random(32)
+    for _ in range(12):
+        # a shared factor with at least two real roots, one irrational
+        shared = UniPoly((-rng.choice((2, 3, 5, 6, 7)), 0, 1))
+        shared = shared * UniPoly(_random_factor(rng))
+        f = shared * _random_poly(rng, 3)
+        g = shared * _random_poly(rng, 3)
+        for a, ta in zip(isolate_real_roots(f), _sympy_real_roots(f)):
+            for b, tb in zip(isolate_real_roots(g), _sympy_real_roots(g)):
+                expected = 0 if ta == tb else (-1 if ta < tb else 1)
+                assert algebraic_equal(a, b) == (expected == 0)
+                assert algebraic_cmp(a, b) == expected
