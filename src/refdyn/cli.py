@@ -27,6 +27,11 @@ from .core import (
 )
 
 
+# The general report prints 4^N in full; above this N it has more than the
+# 4300 digits CPython converts to a string by default.
+_MAX_GENERAL_N = 7142
+
+
 @dataclass
 class RunReport:
     command: str
@@ -101,6 +106,8 @@ def _cmd_reproduce(args) -> RunReport:
         n = args.n
         if n is None or n < 1:
             raise ValueError("reproduce general requires --n N with N >= 1")
+        if n > _MAX_GENERAL_N:
+            raise ValueError(f"reproduce general supports --n up to {_MAX_GENERAL_N}")
         triple = picard.degree_tuple_generic(n)
         t = transitions.degree_tuple([1, *triple, 1])
         report.outputs["degree_tuple"] = t.display(digits)

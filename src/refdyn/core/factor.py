@@ -6,8 +6,16 @@ of the remaining square-free core in the style of Kronecker: a factor of
 degree d is pinned down by its values at d+1 integer points, each of which
 must divide the corresponding value of the polynomial, so enumerating divisor
 combinations and interpolating finds every factor of degree <= deg/2.
-Interpolated candidates are pruned with a Mignotte-style coefficient bound
-before the exact trial division.
+
+The search runs in integers.  The Lagrange basis of the d+1 nodes is built
+once per degree, scaled to the common denominator D of its coefficients, so
+each divisor combination costs one integer dot product per coefficient and is
+an integer polynomial exactly when D divides every one.  A candidate must then
+pass a Mignotte-style coefficient bound and two screens that every true
+factor meets, because its primitive part g* divides the primitive
+polynomial h in Z[x]: lc(g*) divides lc(h), and g*(x) divides h(x) at two
+further integer points.  Only a candidate that passes all of them is built as
+a polynomial, and the exact trial division is its certificate.
 
 The search is exhaustive and certifiably correct but exponential in
 principle, hence the hard degree bound (default 8; everything this package
@@ -18,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .unipoly import UniPoly
 
@@ -142,22 +151,39 @@ def _kronecker_split_or_atom(h: UniPoly) -> list[UniPoly]:
 
 
 def _find_factor_of_degree(h: UniPoly, d: int) -> UniPoly | None:
-    points = _sample_points(d + 1)
+    # d+1 interpolation nodes, then two more points for the divisibility screen
+    points = _sample_points(d + 3)
+    points, extra = points[: d + 1], points[d + 1 :]
     values = [int(h(x)) for x in points]
     if any(v == 0 for v in values):  # a rational root survived: handled upstream
         raise AssertionError("unexpected integer root during Kronecker search")
     bound = _mignotte_bound(h, d)
+    lead = int(h.leading())
+    extra_values = [int(h(x)) for x in extra]
+    columns, denom = _lagrange_columns(points)
     divisor_lists: list[list[int]] = []
     for i, v in enumerate(values):
         ds = _divisors(abs(v))
         # sign of the factor is normalized at the first point
         divisor_lists.append(ds if i == 0 else [x for d_ in ds for x in (d_, -d_)])
     for combo in product(*divisor_lists):
-        g = _interpolate_integer(points, combo, d)
-        if g is None or g.degree < 1:
+        coeffs = _interpolant(columns, denom, combo)
+        if coeffs is None:
             continue
-        if any(abs(int(c)) > bound for c in g.coeffs):
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if len(coeffs) < 2 or any(abs(c) > bound for c in coeffs):
             continue
+        # a factor of h, made primitive, divides h in Z[x] (Gauss's lemma), so
+        # its leading coefficient and its values divide those of h
+        content = gcd(*coeffs)
+        prim = [c // content for c in coeffs]
+        if lead % prim[-1]:
+            continue
+        g_values = (_horner(prim, x) for x in extra)
+        if any(gx != 0 and hx % gx for gx, hx in zip(g_values, extra_values)):
+            continue
+        g = UniPoly(coeffs)
         q, r = h.divmod(g)
         if r.is_zero() and q.degree >= 1:
             return g.primitive()
@@ -175,20 +201,44 @@ def _sample_points(k: int) -> list[int]:
     return pts[:k]
 
 
-def _interpolate_integer(
-    xs: list[int], ys: tuple[int, ...], max_degree: int
-) -> UniPoly | None:
-    """Lagrange interpolation; None unless the result has integer coefficients
-    and degree <= max_degree."""
-    total = UniPoly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = UniPoly.one()
+def _lagrange_columns(xs: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """Lagrange basis of the nodes xs over the common denominator D.
+
+    Returns (columns, D): the polynomial taking the value ys[i] at xs[i] has
+    k-th coefficient sum(ys[i] * columns[k][i]) / D.
+    """
+    numerators = []
+    denominators = []
+    for i, xi in enumerate(xs):
+        basis = [1]
         denom = 1
         for j, xj in enumerate(xs):
             if j != i:
-                basis = basis * UniPoly((-xj, 1))
+                # basis * (x - xj)
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
                 denom *= xi - xj
-        total = total + basis.scale(Fraction(yi, denom))
-    if total.degree > max_degree or not total.is_integer():
-        return None
-    return total
+        numerators.append(basis)
+        denominators.append(denom)
+    common = lcm(*denominators)
+    rows = [[c * (common // dn) for c in b] for b, dn in zip(numerators, denominators)]
+    return [tuple(col) for col in zip(*rows)], common
+
+
+def _interpolant(
+    columns: list[tuple[int, ...]], denom: int, ys: tuple[int, ...]
+) -> list[int] | None:
+    """Coefficients of the interpolant of ys, or None unless all are integers."""
+    coeffs = []
+    for col in columns:
+        c, r = divmod(sum(map(mul, ys, col)), denom)
+        if r:
+            return None
+        coeffs.append(c)
+    return coeffs
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

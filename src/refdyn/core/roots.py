@@ -82,12 +82,13 @@ class AlgebraicReal:
             raise ValueError("isolating interval must satisfy lo < hi")
         if prim(lo) == 0 or prim(hi) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if count_roots_in(prim, lo, hi) != 1:
+        chain = sturm_chain(prim)
+        if sign_variations_at(chain, lo) - sign_variations_at(chain, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
         self.poly = prim
         self.lo = lo
         self.hi = hi
-        self._chain: list[UniPoly] | None = None
+        self._chain: list[UniPoly] | None = chain
 
     @classmethod
     def _certified(cls, poly, lo, hi, chain) -> "AlgebraicReal":

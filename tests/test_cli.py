@@ -95,6 +95,7 @@ def exit_code(argv):
         "reproduce triangle --precision -1",
         "billiard check --seed 0 --horizon 0",
         "elliptic check --n 4 --horizon -1",
+        "reproduce general --n 7143",
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -102,6 +103,12 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+def test_reproduce_general_at_the_largest_n_prints_a_report(capsys):
+    assert main(["reproduce", "general", "--n", "7142", "--horizon", "1"]) != 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"]["n"] == 7142
 
 
 def test_undecided_arithmetic_exits_2(capsys, monkeypatch):

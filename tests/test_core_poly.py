@@ -106,6 +106,11 @@ def test_factor_kronecker_quartic():
     assert all(m == 1 for _, m in facs)
 
 
+def test_factor_irreducible_octic():
+    f = P(5, 0, 0, -12, 0, 0, 0, 0, 1)  # x^8 - 12x^3 + 5: every degree up to 4 searched
+    assert factor_over_rationals(f) == [(f, 1)]
+
+
 def test_factor_errors():
     with pytest.raises(ValueError):
         factor_over_rationals(UniPoly.zero())

@@ -193,3 +193,17 @@ def test_refinement_builds_one_sturm_chain(monkeypatch):
     fine = isolate_real_roots(P(-2, 0, 1))[-1].refined(Fraction(1, 10**40))
     assert fine.width() < Fraction(1, 10**40)
     assert len(built) == 1
+
+
+def test_public_constructor_keeps_its_sturm_chain(monkeypatch):
+    built = []
+    original = refdyn.core.roots.sturm_chain
+
+    def counting(f):
+        built.append(f)
+        return original(f)
+
+    monkeypatch.setattr(refdyn.core.roots, "sturm_chain", counting)
+    fine = AlgebraicReal(P(-2, 0, 1), 1, 2).refined(Fraction(1, 10**30))
+    assert fine.width() < Fraction(1, 10**30)
+    assert len(built) == 1

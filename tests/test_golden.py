@@ -1,14 +1,18 @@
 """Golden digests of CLI reports: the determinism contract, pinned.
 
 Each argv's stdout must hash to the recorded sha256 and its exit code must
-match.  A rewrite of the exact core that changes any report byte fails here.
+match; each spectral certificate must hash to its recorded sha256.  A
+rewrite of the exact core that changes any report byte fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from refdyn.cli import main
+from refdyn.core import RatMatrix
+from refdyn.transitions import CertificationError, dominant_growth
 
 GOLDEN = [
     (
@@ -59,3 +63,133 @@ def test_report_digest(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Spectral certificates: sha256 of the canonical JSON of
+# dominant_growth(M, ones).to_obj(), or of the partial report when the
+# certificate raises CertificationError.  The matrices cover irreducible
+# quartic and sextic cores and cores that Kronecker search splits 2+2, 2+3
+# and 3+3.
+SPECTRAL_GOLDEN = [
+    (
+        "positive 4x4",
+        [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 1, 2], [1, 0, 2, 1]],
+        False,
+        "df41c6e5c597dbabf98cf6559b6e1630e97e44a30ada438e3ccbfaba9c9548ad",
+    ),
+    (
+        "positive 4x4, complex pair",
+        [[3, 1, 1, 2], [1, 1, 2, 1], [2, 1, 1, 1], [1, 2, 1, 4]],
+        True,
+        "bfee1319591ff58f92c7ba73552b10992b4cd9922afdd8a2b1bc06e4ec5bdf10",
+    ),
+    (
+        "positive 5x5",
+        [
+            [2, 1, 1, 1, 1],
+            [1, 2, 1, 1, 1],
+            [1, 1, 3, 1, 1],
+            [1, 1, 1, 2, 1],
+            [1, 1, 1, 1, 5],
+        ],
+        False,
+        "0d438ae7da41d0fb48369300d82e89294e4e8c551c26d85ed2a459589cbccddf",
+    ),
+    (
+        "positive 5x5, complex pair",
+        [
+            [1, 2, 0, 1, 1],
+            [1, 1, 3, 0, 1],
+            [2, 0, 1, 1, 1],
+            [1, 1, 0, 2, 3],
+            [0, 1, 1, 1, 1],
+        ],
+        True,
+        "e6da74021ef8f8e5e79a170ffef9a7589a1b0dd0b42e91fd9b1e39ca81816a0e",
+    ),
+    (
+        "quartic core splits 2+2",
+        [[1, 1, 1, 2], [1, 0, 0, 1], [0, 0, 2, 1], [0, 0, 1, 1]],
+        False,
+        "b8edf7bd133776d7b49ed0354f987abe548900ab339e75e824ebf314d64d679c",
+    ),
+    (
+        "block triangular, complex pair",
+        [[3, 1, 1, 2], [1, 2, 0, 1], [0, 0, 0, -1], [0, 0, 1, 1]],
+        False,
+        "99482a964e3acce9c4a6af8f535a79259b43b5d54cac110efd59ade992c560b9",
+    ),
+    (
+        "block triangular 5x5, complex pair",
+        [
+            [2, 1, 1, 0, 1],
+            [1, 1, 0, 1, 2],
+            [1, 0, 1, 1, 1],
+            [0, 0, 0, 1, -2],
+            [0, 0, 0, 1, 1],
+        ],
+        False,
+        "e39210dea13757b605ee5f67d49d25fa169398c1d7ca903cc2892dee0d53eff2",
+    ),
+    (
+        "quintic core splits 2+3",
+        [
+            [2, 1, 1, 1, 0],
+            [1, 1, 0, 0, 1],
+            [0, 0, 1, 1, 0],
+            [0, 0, 0, 1, 1],
+            [0, 0, 1, 0, 2],
+        ],
+        False,
+        "5fd97b05854be5a843318afcf9eca5998290dd8551f992b17a653488e0f32998",
+    ),
+    (
+        "sextic core splits 3+3",
+        [
+            [3, 1, 0, 1, 1, 1],
+            [0, 1, 1, 1, 1, 0],
+            [1, 0, 1, 0, 1, 1],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 1, 1],
+        ],
+        True,
+        "975909817b6ce311fdd5b17ce9ec323cc67ec087ee2391c354959585c11e367a",
+    ),
+    (
+        "irreducible quartic",
+        [[0, 0, 0, -2], [1, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, 2]],
+        True,
+        "9c353703eb3b55ceb3f6ae5ef75146ed6413620200ee0a3f0922996e72942a23",
+    ),
+    (
+        "irreducible sextic",
+        [
+            [1, 1, 0, 0, 0, 1],
+            [0, 1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 1, 1],
+            [1, 0, 0, 0, 0, 1],
+        ],
+        True,
+        "53f68983c038802f7eacebc528d193e0902653f3fe7e9396e340aa076f54e428",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,raises,digest",
+    [g[1:] for g in SPECTRAL_GOLDEN],
+    ids=[g[0] for g in SPECTRAL_GOLDEN],
+)
+def test_spectral_digest(rows, raises, digest):
+    ones = [1] * len(rows)
+    if raises:
+        with pytest.raises(CertificationError) as err:
+            dominant_growth(RatMatrix(rows), ones)
+        obj = err.value.report
+    else:
+        obj = dominant_growth(RatMatrix(rows), ones).to_obj()
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,11 +1,13 @@
 """The exact core against sympy: the elimination kernel, the polynomials
-built on it, real root isolation and exact comparison of algebraic reals.
+built on it, factorization over Q, real root isolation and exact comparison
+of algebraic reals.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +17,7 @@ from refdyn.core import (
     algebraic_cmp,
     algebraic_equal,
     char_poly,
+    factor_over_rationals,
     field_kernel,
     isolate_real_roots,
     minimal_poly,
@@ -169,3 +172,42 @@ def test_algebraic_equal_and_cmp_match_sympy():
                 expected = 0 if ta == tb else (-1 if ta < tb else 1)
                 assert algebraic_equal(a, b) == (expected == 0)
                 assert algebraic_cmp(a, b) == expected
+
+
+def _normalized(pairs):
+    """(integer coefficients low to high, multiplicity) of each factor, made
+    primitive with a positive leading coefficient, sorted."""
+    out = []
+    for coeffs, mult in pairs:
+        coeffs = [int(c) for c in coeffs]
+        content = gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+        out.append((tuple(c // content for c in coeffs), mult))
+    return sorted(out)
+
+
+def _random_core_factor(rng, degree):
+    """A random factor of the given degree with leading coefficient 2-4."""
+    return UniPoly([rng.randint(-4, 4) for _ in range(degree)] + [rng.randint(2, 4)])
+
+
+def test_factor_over_rationals_matches_sympy():
+    rng = random.Random(41)
+    x = sympy.Symbol("x")
+    for case in range(60):
+        p = UniPoly((rng.choice((1, 1, 2, -3, 6)),))  # often a non-primitive scale
+        if case % 6 == 0:
+            # two quartics: the search runs up to degree 4
+            p = p * _random_core_factor(rng, 4) * _random_core_factor(rng, 4)
+        else:
+            p = p * UniPoly.x() ** rng.choice((0, 0, 0, 1, 2))
+        while True:
+            f = _random_core_factor(rng, rng.randint(2, 4))
+            mult = rng.choice((1, 1, 1, 2))
+            if p.degree + mult * f.degree > 8:
+                break
+            p = p * f**mult
+        ours = factor_over_rationals(p)
+        _, theirs = sympy.Poly([_rat(c) for c in reversed(p.coeffs)], x).factor_list()
+        assert _normalized((f.coeffs, m) for f, m in ours) == _normalized(
+            (reversed(f.all_coeffs()), m) for f, m in theirs
+        ), (case, p.format())
