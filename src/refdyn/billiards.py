@@ -524,7 +524,7 @@ def _fit_line_map(
     rows = [
         [-wv * zu, -wv * zv, wu * zu, wu * zv] for (zu, zv), (wu, wv) in pairs[:3]
     ]
-    kernel = field_kernel(rows, Fraction(0), Fraction(1))
+    kernel = field_kernel(rows)
     if len(kernel) != 1:
         raise IndeterminacyError("probe images do not determine a unique line map")
     sol = kernel[0]

@@ -63,10 +63,11 @@ def _all_true(value) -> bool:
 
 
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
+    # the file first: if it cannot be written, nothing reaches stdout
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _enclosure(value, digits: int) -> dict:
@@ -506,10 +507,10 @@ def main(argv=None) -> int:
         report: RunReport = args.func(args)
         elapsed = time.monotonic() - started
         text = _to_csv(report) if args.format == "csv" else report.to_json()
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        _emit(text, args.out)
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"refdyn {args.command}: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if report.ok() else 1
 

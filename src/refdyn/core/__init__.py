@@ -1,14 +1,13 @@
 """Exact arithmetic foundation: rationals, polynomials, series, matrices,
-real algebraic numbers and small number fields."""
+real algebraic numbers and linear algebra over Q."""
 
 from .factor import factor_over_rationals, rational_roots
 from .matrix import RatMatrix, char_poly, minimal_poly
 from .multipoly import MultiPoly, common_monomial_factor, divide_monomial
-from .numberfield import NumberFieldElement, field_kernel
+from .numberfield import field_kernel
 from .rationals import Rational, as_rational, outward_decimals, rat_from_str, rat_to_str
 from .roots import (
     AlgebraicReal,
-    abs_cmp,
     algebraic_cmp,
     algebraic_equal,
     cauchy_root_bound,
@@ -47,8 +46,6 @@ __all__ = [
     "cauchy_root_bound",
     "algebraic_cmp",
     "algebraic_equal",
-    "abs_cmp",
     "cmp_with_rational",
-    "NumberFieldElement",
     "field_kernel",
 ]

@@ -170,4 +170,4 @@ def _krylov_minimal(m: RatMatrix, v: list[Fraction]) -> UniPoly:
     krylov = [tuple(v)]
     for _ in range(m.rows):
         krylov.append(m.matvec(krylov[-1]))
-    return UniPoly(field_kernel(list(zip(*krylov)), Fraction(0), Fraction(1))[0])
+    return UniPoly(field_kernel(list(zip(*krylov)))[0])

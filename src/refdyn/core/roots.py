@@ -3,10 +3,10 @@
 An AlgebraicReal is a square-free primitive integer polynomial together with
 an open rational interval containing exactly one of its real roots; the count
 is certified by a Sturm sequence, never by floating point.  Every comparison
-in the package that feeds a certificate goes through the exact machinery
-here: interval refinement decides strict inequalities, and an exact tie is
-settled by one Sturm count of the gcd of the defining polynomials on the
-overlap of the two intervals.
+of real algebraic numbers that feeds a certificate goes through the exact
+machinery here: interval refinement decides strict inequalities, and an
+exact tie is settled by one Sturm count of the gcd of the defining
+polynomials on the overlap of the two intervals.
 Intervals derived here (bisection halves, isolated roots) carry their
 parent's Sturm chain and are not re-checked: the Sturm count that produced
 them proves that they isolate one root.
@@ -258,18 +258,3 @@ def cmp_with_rational(a: AlgebraicReal, q: RationalLike) -> int:
             return 1
         x = x._bisect_once()
     raise ArithmeticError("comparison with rational did not separate")
-
-
-def abs_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
-    """Compare |a| and |b| exactly."""
-    sa = cmp_with_rational(a, 0)
-    sb = cmp_with_rational(b, 0)
-    aa = a if sa >= 0 else _negate(a)
-    bb = b if sb >= 0 else _negate(b)
-    return algebraic_cmp(aa, bb)
-
-
-def _negate(a: AlgebraicReal) -> AlgebraicReal:
-    # x -> -x maps the roots of a.poly one to one onto those of poly
-    poly = UniPoly((-1) ** i * c for i, c in enumerate(a.poly.coeffs)).primitive()
-    return AlgebraicReal._certified(poly, -a.hi, -a.lo, None)

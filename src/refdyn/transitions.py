@@ -4,13 +4,15 @@ Two concrete systems live here: the period-1 system of the line-conic
 configuration (reflections through two points of a line and one point of a
 residual conic) and the period-3 system of the triangle of lines.  The
 growth rate of either is certified by `dominant_growth`, an exact
-implementation of the dominant-eigenvalue criterion: the top eigenvalue must
-be a simple positive real root of the characteristic polynomial, strictly
-dominant in absolute value over every other root (real roots by interval
-comparison, complex roots factor-wise), the start vector must have a nonzero
-component along the dominant eigenspace (left-eigenvector test over the
-eigenvalue's number field), and the dominant eigenvector must see the first
-coordinate.  No floating point is used anywhere in the certificate.
+implementation of the dominant-eigenvalue criterion, over Q alone: the top
+eigenvalue mu1 must be a simple positive real root of the characteristic
+polynomial; every other root must lie in a disk |z| < r < mu1, counted by the
+Schur-Cohn test on the square-free part; the start vector must have a nonzero
+component along the dominant eigenspace, and the dominant eigenvector must
+see the first coordinate.  Both eigenvector tests read the adjugate of
+mu1 I - m, written as a polynomial in mu1 with integer Krylov vectors, modulo
+the minimal polynomial of mu1.  No floating point is used anywhere in the
+certificate.
 """
 
 from __future__ import annotations
@@ -22,18 +24,14 @@ from typing import Iterable, Sequence
 
 from .core import (
     AlgebraicReal,
-    NumberFieldElement,
     RatMatrix,
     UniPoly,
-    abs_cmp,
     algebraic_cmp,
     algebraic_equal,
     as_rational,
-    cauchy_root_bound,
     char_poly,
     cmp_with_rational,
     factor_over_rationals,
-    field_kernel,
     isolate_real_roots,
     rat_to_str,
 )
@@ -65,7 +63,15 @@ class StateVector:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StateVector":
-        return cls(tuple(obj["v"]), obj.get("phase", 0))
+        try:
+            entries, phase = tuple(obj["v"]), obj.get("phase", 0)
+            if not all(isinstance(x, int) for x in (*entries, phase)):
+                raise TypeError("entries and phase must be integers")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f'malformed state vector, expected {{"v": [integers], "phase": integer}}: {exc!r}'
+            ) from exc
+        return cls(entries, phase)
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
@@ -108,8 +114,14 @@ class TransitionSystem:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TransitionSystem":
-        mats = tuple(RatMatrix(m) for m in obj["matrices"])
-        if obj.get("period", len(mats)) != len(mats):
+        try:
+            mats = tuple(RatMatrix(m) for m in obj["matrices"])
+            period = obj.get("period", len(mats))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f'malformed transition system, expected {{"matrices": [integer rows]}}: {exc!r}'
+            ) from exc
+        if period != len(mats):
             raise ValueError("period field disagrees with the matrix list")
         return cls(mats)
 
@@ -275,28 +287,45 @@ class SpectralData:
         }
 
 
-def _all_roots_in_unit_disk(h: UniPoly) -> bool:
-    """Exact Schur-Cohn recursion: True iff every complex root of h has
-    modulus strictly less than one.  h must be nonzero."""
-    h = h.primitive()
+def _roots_in_disk(h: UniPoly, r: Fraction) -> int | None:
+    """Number of roots of h in |z| < r (rational r > 0), with multiplicity,
+    by the counting form of the Schur-Cohn test; None when its table is
+    singular.  h must be nonzero."""
+    # substitute x = r*y and count in the unit disk
+    h = UniPoly(c * r**i for i, c in enumerate(h.coeffs)).primitive()
+    steps: list[tuple[int, bool]] = []
     while h.degree >= 1:
         a0, an = h.coeff(0), h.leading()
-        if abs(a0) >= abs(an):
-            return False
+        delta = an * an - a0 * a0
+        if delta == 0:
+            return None
+        steps.append((h.degree, delta > 0))
         rev = UniPoly(tuple(reversed(h.coeffs)))
-        nxt = h.scale(an) - rev.scale(a0)
         # the constant term cancels exactly; shift down by one degree
-        if nxt.coeff(0) != 0:
-            raise AssertionError("Schur transform lost exactness")
-        h = (nxt // UniPoly.x()).primitive()
-    return True
+        h = UniPoly((h.scale(an) - rev.scale(a0)).coeffs[1:]).primitive()
+    # the next polynomial g has x*g = a_n*h - a_0*h*, where h* has the reciprocal
+    # roots and |h*| = |h| on |z| = 1.  By Rouche, x*g has as many roots inside as
+    # h when delta > 0, and as many as h* (deg - k of them) when delta < 0.  A
+    # regular table puts no root on the circle: h and h* share such a root, so g
+    # has it too, down to the nonzero constant at degree 0.
+    k = 0
+    for deg, larger in reversed(steps):
+        k = k + 1 if larger else deg - 1 - k
+    return k
 
 
-def _roots_below(g: UniPoly, r: Fraction) -> bool:
-    """Certified: every complex root of g has modulus < r (rational r > 0)."""
-    # substitute x = r*y and test the unit disk
-    scaled = UniPoly(c * r**i for i, c in enumerate(g.coeffs))
-    return _all_roots_in_unit_disk(scaled)
+def _adjugate_sees(cp: UniPoly, krylov: list, modulus: UniPoly) -> bool:
+    """Whether sum_k q_k(theta) * krylov[k] is nonzero at a root theta of the
+    irreducible `modulus`.  With q_k = cp.coeffs[k+1:] read as a polynomial,
+    adj(x I - m) = sum_k q_k(x) m^k for cp the characteristic polynomial of m."""
+    qs = [UniPoly(cp.coeffs[k + 1 :]) for k in range(len(krylov))]
+    for i in range(len(krylov[0])):
+        component = UniPoly.zero()
+        for q, v in zip(qs, krylov):
+            component = component + q.scale(v[i])
+        if not (component % modulus).is_zero():
+            return True
+    return False
 
 
 def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralData:
@@ -348,67 +377,35 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
             f"dominant eigenvalue is a repeated root (multiplicity {mu_mult})"
         )
 
-    # dominance over every other real root
+    # every other root in |z| < r < mu1: the square-free part keeps exactly one
+    # root, mu1 itself, outside the disk of radius r
     if hypotheses["strictly_dominant"]:
-        for root, fac, _ in real_roots:
-            if fac == mu_factor and algebraic_cmp(root, mu) == 0:
-                continue
-            if abs_cmp(mu, root) != 1:
-                hypotheses["strictly_dominant"] = False
-                failures.append(
-                    f"real root of {fac.format()} is not strictly smaller in modulus"
-                )
+        sf = cp.square_free_part().primitive()
+        cur = mu
+        for _ in range(64):
+            if cur.lo > 0 and _roots_in_disk(sf, cur.lo) == sf.degree - 1:
                 break
-
-    # dominance over complex roots, factor by factor
-    if hypotheses["strictly_dominant"]:
-        for fac, _ in factors:
-            n_real = len(isolate_real_roots(fac))
-            if n_real == fac.degree:
-                continue
-            if fac == mu_factor:
-                hypotheses["strictly_dominant"] = False
-                failures.append("dominant factor has complex roots")
-                break
-            if not _complex_roots_dominated(fac, mu):
-                hypotheses["strictly_dominant"] = False
-                failures.append(
-                    f"complex roots of {fac.format()} not certified below mu1"
-                )
-                break
-
-    # eigenvector hypotheses over the number field of mu's factor
-    if mu_mult == 1:
-        modulus = mu_factor.monic()
-        theta = NumberFieldElement.generator(modulus)
-
-        def nfe(q) -> NumberFieldElement:
-            return NumberFieldElement.from_rational(modulus, q)
-
-        n = m.rows
-        a_right = [
-            [nfe(m[i, j]) - (theta if i == j else nfe(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        a_left = [
-            [nfe(m[j, i]) - (theta if i == j else nfe(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        right = field_kernel(a_right, nfe(0), nfe(1))
-        left = field_kernel(a_left, nfe(0), nfe(1))
-        if len(right) != 1 or len(left) != 1:
-            failures.append("eigenspace is not one-dimensional over the field")
+            cur = cur.refined(cur.width() / 4)
         else:
-            w = left[0]
-            dot = nfe(0)
-            for wi, vi in zip(w, entries):
-                dot = dot + wi * nfe(vi)
-            hypotheses["v0_sees_dominant_eigenspace"] = not dot.is_zero()
-            hypotheses["eigenvector_sees_first_coordinate"] = not right[0][0].is_zero()
-            if dot.is_zero():
-                failures.append("start vector lies in the span of the other eigenspaces")
-            if right[0][0].is_zero():
-                failures.append("dominant eigenvector has zero first coordinate")
+            hypotheses["strictly_dominant"] = False
+            failures.append("strict dominance over the other roots not certified")
+
+    # mu1 is simple, so adj(mu1 I - m) = c r w^T with c != 0, r and w the right
+    # and left eigenvectors: w.v0 != 0 iff adj v0 != 0, r_0 != 0 iff e0^T adj != 0
+    if mu_mult == 1:
+        mt = m.transpose()
+        right, left = [entries], [tuple(int(i == 0) for i in range(m.rows))]
+        for _ in range(m.rows - 1):
+            right.append(m.matvec(right[-1]))
+            left.append(mt.matvec(left[-1]))
+        sees_v0 = _adjugate_sees(cp, right, mu_factor)
+        sees_first = _adjugate_sees(cp, left, mu_factor)
+        hypotheses["v0_sees_dominant_eigenspace"] = sees_v0
+        hypotheses["eigenvector_sees_first_coordinate"] = sees_first
+        if not sees_v0:
+            failures.append("start vector lies in the span of the other eigenspaces")
+        if not sees_first:
+            failures.append("dominant eigenvector has zero first coordinate")
 
     report["hypotheses"] = dict(hypotheses)
     if failures:
@@ -421,31 +418,6 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
         char_polynomial=cp,
         factorization=factors,
     )
-
-
-def _complex_roots_dominated(fac: UniPoly, mu: AlgebraicReal) -> bool:
-    """Certify |z| < mu1 for every root z of fac (fac has complex roots and
-    is not the dominant factor)."""
-    if fac.degree == 2:
-        # conjugate pair: |z|^2 = constant/lead exactly
-        mod_sq = fac.coeff(0) / fac.leading()
-        if mod_sq <= 0:
-            raise AssertionError("quadratic with complex roots has positive norm")
-        modulus_poly = UniPoly((-mod_sq.numerator, 0, mod_sq.denominator))
-        modulus = isolate_real_roots(modulus_poly)[-1]
-        return algebraic_cmp(mu, modulus) == 1
-    # coarse certified bound first
-    bound = cauchy_root_bound(fac)
-    if cmp_with_rational(mu, bound) == 1:
-        return True
-    # Schur-Cohn at radii approaching mu1 from below
-    cur = mu
-    for _ in range(64):
-        cur = cur.refined(cur.width() / 4)
-        r = cur.lo
-        if r > 0 and _roots_below(fac, r):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

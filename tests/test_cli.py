@@ -105,6 +105,43 @@ def test_bad_input_exits_2(capsys, argv):
     assert captured.err.strip()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["missing matrix file", "no matrices", "start without v", "start not an object",
+     "start with a fraction", "unwritable --out"],
+)
+def test_bad_files_and_objects_exit_2(capsys, tmp_path, case):
+    good = tmp_path / "system.json"
+    good.write_text('{"period": 1, "matrices": [[[1, 1], [1, 0]]]}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"period": 1}')
+    argv = {
+        "missing matrix file": f"transition growth --matrix-file {tmp_path / 'absent.json'}"
+        " --start {\"v\":[1,1]}",
+        "no matrices": f"transition growth --matrix-file {bad} --start {{\"v\":[1,1]}}",
+        "start without v": f"transition growth --matrix-file {good} --start {{}}",
+        "start not an object": f"transition growth --matrix-file {good} --start [1,2]",
+        "start with a fraction": f"transition growth --matrix-file {good} --start {{\"v\":[1.5,1]}}",
+        "unwritable --out": f"reproduce general --n 3 --out {tmp_path / 'absent' / 'x'}",
+    }[case]
+    assert exit_code(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_transition_growth_reads_a_matrix_file(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text('{"period": 1, "matrices": [[[1, 1], [1, 0]]]}')
+    out = tmp_path / "report.json"
+    argv = ["transition", "growth", "--matrix-file", str(path), "--start", '{"v":[1,1]}',
+            "--steps", "3", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert [row[2] for row in json.loads(printed)["outputs"]["rows"]] == [1, 2, 3, 5]
+
+
 def test_reproduce_general_at_the_largest_n_prints_a_report(capsys):
     assert main(["reproduce", "general", "--n", "7142", "--horizon", "1"]) != 2
     report = json.loads(capsys.readouterr().out)

@@ -7,7 +7,6 @@ import refdyn.core.roots
 from refdyn.core import (
     AlgebraicReal,
     UniPoly,
-    abs_cmp,
     algebraic_cmp,
     algebraic_equal,
     cmp_with_rational,
@@ -118,16 +117,6 @@ def test_algebraic_equal_and_cmp():
     assert cmp_with_rational(one, 1) == 0
 
 
-def test_abs_cmp():
-    roots = isolate_real_roots(P(-2, -5, 1))  # (5±sqrt33)/2: one negative small root
-    small, big = roots
-    assert cmp_with_rational(small, 0) == -1
-    assert abs_cmp(big, small) == 1
-    minus2 = AlgebraicReal.from_rational(-2)
-    two = AlgebraicReal.from_rational(2)
-    assert abs_cmp(minus2, two) == 0
-
-
 def test_decimal_enclosure():
     a = isolate_real_roots(P(-2, -5, 1))[-1]
     lo, hi = a.decimal_enclosure(9)
@@ -170,15 +159,6 @@ def test_derived_intervals_pass_the_public_constructor(f):
             cur = cur._bisect_once()
             _assert_public_constructor_accepts(cur, poly)
         _assert_public_constructor_accepts(r.refined(Fraction(1, 10**20)), poly)
-
-
-def test_negated_interval_passes_the_public_constructor():
-    for f in DERIVED_CASES:
-        for r in isolate_real_roots(f):
-            neg = refdyn.core.roots._negate(r.refined(Fraction(1, 10**6)))
-            assert neg.poly.leading() > 0
-            _assert_public_constructor_accepts(neg, neg.poly)
-            assert cmp_with_rational(neg, 0) == -cmp_with_rational(r, 0)
 
 
 def test_refinement_builds_one_sturm_chain(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 
 from refdyn.cli import main
 from refdyn.core import RatMatrix
-from refdyn.transitions import CertificationError, dominant_growth
+from refdyn.transitions import dominant_growth
 
 GOLDEN = [
     (
@@ -66,22 +66,19 @@ def test_report_digest(capsys, argv, code, digest):
 
 
 # Spectral certificates: sha256 of the canonical JSON of
-# dominant_growth(M, ones).to_obj(), or of the partial report when the
-# certificate raises CertificationError.  The matrices cover irreducible
-# quartic and sextic cores and cores that Kronecker search splits 2+2, 2+3
-# and 3+3.
+# dominant_growth(M, ones).to_obj().  The matrices cover irreducible quartic
+# and sextic cores, cores that Kronecker search splits 2+2, 2+3 and 3+3, and
+# dominant factors with complex roots.
 SPECTRAL_GOLDEN = [
     (
         "positive 4x4",
         [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 1, 2], [1, 0, 2, 1]],
-        False,
         "df41c6e5c597dbabf98cf6559b6e1630e97e44a30ada438e3ccbfaba9c9548ad",
     ),
     (
         "positive 4x4, complex pair",
         [[3, 1, 1, 2], [1, 1, 2, 1], [2, 1, 1, 1], [1, 2, 1, 4]],
-        True,
-        "bfee1319591ff58f92c7ba73552b10992b4cd9922afdd8a2b1bc06e4ec5bdf10",
+        "5434161a9effc0ed3d2a0feabc8a96add7fc7890851df5622f636894cfa670a2",
     ),
     (
         "positive 5x5",
@@ -92,7 +89,6 @@ SPECTRAL_GOLDEN = [
             [1, 1, 1, 2, 1],
             [1, 1, 1, 1, 5],
         ],
-        False,
         "0d438ae7da41d0fb48369300d82e89294e4e8c551c26d85ed2a459589cbccddf",
     ),
     (
@@ -104,19 +100,16 @@ SPECTRAL_GOLDEN = [
             [1, 1, 0, 2, 3],
             [0, 1, 1, 1, 1],
         ],
-        True,
-        "e6da74021ef8f8e5e79a170ffef9a7589a1b0dd0b42e91fd9b1e39ca81816a0e",
+        "ad4a00755f6ae398055335cc5688067191726e5a41f5339b3a3b846d8750e344",
     ),
     (
         "quartic core splits 2+2",
         [[1, 1, 1, 2], [1, 0, 0, 1], [0, 0, 2, 1], [0, 0, 1, 1]],
-        False,
         "b8edf7bd133776d7b49ed0354f987abe548900ab339e75e824ebf314d64d679c",
     ),
     (
         "block triangular, complex pair",
         [[3, 1, 1, 2], [1, 2, 0, 1], [0, 0, 0, -1], [0, 0, 1, 1]],
-        False,
         "99482a964e3acce9c4a6af8f535a79259b43b5d54cac110efd59ade992c560b9",
     ),
     (
@@ -128,7 +121,6 @@ SPECTRAL_GOLDEN = [
             [0, 0, 0, 1, -2],
             [0, 0, 0, 1, 1],
         ],
-        False,
         "e39210dea13757b605ee5f67d49d25fa169398c1d7ca903cc2892dee0d53eff2",
     ),
     (
@@ -140,7 +132,6 @@ SPECTRAL_GOLDEN = [
             [0, 0, 0, 1, 1],
             [0, 0, 1, 0, 2],
         ],
-        False,
         "5fd97b05854be5a843318afcf9eca5998290dd8551f992b17a653488e0f32998",
     ),
     (
@@ -153,14 +144,12 @@ SPECTRAL_GOLDEN = [
             [0, 0, 0, 0, 0, 1],
             [0, 0, 0, 1, 1, 1],
         ],
-        True,
-        "975909817b6ce311fdd5b17ce9ec323cc67ec087ee2391c354959585c11e367a",
+        "c2a4117220bca5f6622311d84a731e7ffd86c82064f5c7ba9f057de39c39dcca",
     ),
     (
         "irreducible quartic",
         [[0, 0, 0, -2], [1, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, 2]],
-        True,
-        "9c353703eb3b55ceb3f6ae5ef75146ed6413620200ee0a3f0922996e72942a23",
+        "cdd7e0b4ba4478f94b50be4365d9f4b8b0310049b1da42e32037e869da857ca3",
     ),
     (
         "irreducible sextic",
@@ -172,24 +161,17 @@ SPECTRAL_GOLDEN = [
             [0, 0, 0, 0, 1, 1],
             [1, 0, 0, 0, 0, 1],
         ],
-        True,
-        "53f68983c038802f7eacebc528d193e0902653f3fe7e9396e340aa076f54e428",
+        "ecd22fa8bbefce04bbe020df688a7e058c0df97f8afe392e3e688b7466a6efae",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "rows,raises,digest",
+    "rows,digest",
     [g[1:] for g in SPECTRAL_GOLDEN],
     ids=[g[0] for g in SPECTRAL_GOLDEN],
 )
-def test_spectral_digest(rows, raises, digest):
-    ones = [1] * len(rows)
-    if raises:
-        with pytest.raises(CertificationError) as err:
-            dominant_growth(RatMatrix(rows), ones)
-        obj = err.value.report
-    else:
-        obj = dominant_growth(RatMatrix(rows), ones).to_obj()
+def test_spectral_digest(rows, digest):
+    obj = dominant_growth(RatMatrix(rows), [1] * len(rows)).to_obj()
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,8 +1,10 @@
 """The exact core against sympy: the elimination kernel, the polynomials
 built on it, factorization over Q, real root isolation and exact comparison
-of algebraic reals.
+of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
+`dominant_growth` against numpy's floating-point roots and eigenvectors.
 
-Oracle-only: these tests add no behaviour and are skipped without sympy.
+Oracle-only: these tests add no behaviour and are skipped without sympy or
+numpy.
 """
 
 import random
@@ -22,6 +24,7 @@ from refdyn.core import (
     isolate_real_roots,
     minimal_poly,
 )
+from refdyn.transitions import CertificationError, _roots_in_disk, dominant_growth
 
 sympy = pytest.importorskip("sympy")
 
@@ -38,9 +41,7 @@ def test_field_kernel_matches_sympy_nullspace():
     for _ in range(60):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         a = _random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
-        kernel = field_kernel(
-            [[Fraction(x) for x in row] for row in a], Fraction(0), Fraction(1)
-        )
+        kernel = field_kernel([[Fraction(x) for x in row] for row in a])
         oracle = sympy.Matrix(a).nullspace()
         assert len(kernel) == len(oracle)
         for v in kernel:
@@ -211,3 +212,79 @@ def test_factor_over_rationals_matches_sympy():
         assert _normalized((f.coeffs, m) for f, m in ours) == _normalized(
             (reversed(f.all_coeffs()), m) for f, m in theirs
         ), (case, p.format())
+
+
+def test_roots_in_disk_matches_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(7)
+    compared = singular = 0
+    for _ in range(3000):
+        degree = rng.randint(1, 7)
+        coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        r = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+        moduli = np.abs(np.roots(list(reversed(coeffs))))
+        if np.any(np.abs(moduli - float(r)) < 1e-6):
+            continue
+        count = _roots_in_disk(UniPoly(coeffs), r)
+        if count is None:
+            singular += 1
+            continue
+        assert count == int(np.sum(moduli < float(r))), (coeffs, r)
+        compared += 1
+    assert compared > 2800 and singular < 100
+
+
+def _eigenvector(np, m, value):
+    """Unit eigenvector of m for the eigenvalue nearest `value`."""
+    eigenvalues, vectors = np.linalg.eig(m)
+    v = vectors[:, int(np.argmin(np.abs(eigenvalues - value)))]
+    return v / np.linalg.norm(v)
+
+
+def _seen(x):
+    """True or False for a clearly nonzero or clearly zero float, else None."""
+    return True if abs(x) > 1e-6 else False if abs(x) < 1e-9 else None
+
+
+def test_dominant_growth_hypotheses_match_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.6:
+            # block triangular, either way: eigenvectors with structural zeros
+            split = rng.randint(1, n - 1)
+            upper = rng.random() < 0.5
+            for i in range(n):
+                for j in range(n):
+                    if (i >= split > j) if upper else (i < split <= j):
+                        rows[i][j] = 0
+        v0 = [rng.randint(-1, 1) for _ in range(n)]
+        a = np.array(rows, dtype=float)
+        eigenvalues = np.linalg.eigvals(a)
+        order = np.argsort(-np.abs(eigenvalues))
+        top, second = eigenvalues[order[0]], eigenvalues[order[1]]
+        if abs(top) - abs(second) <= 1e-6 or abs(top.real) <= 1e-6:
+            continue
+        try:
+            hypotheses = dominant_growth(RatMatrix(rows), v0).hypotheses
+        except CertificationError as err:
+            hypotheses = err.report.get("hypotheses")
+        if top.real < 0:
+            # the root of largest modulus is negative: mu1 is not dominant
+            assert hypotheses is None or not hypotheses["strictly_dominant"], rows
+            outcomes.append("negative top")
+            continue
+        assert hypotheses is not None and hypotheses["strictly_dominant"], rows
+        sees_v0 = _seen(_eigenvector(np, a.T, top.real) @ np.array(v0, dtype=float))
+        sees_first = _seen(_eigenvector(np, a, top.real)[0])
+        if sees_v0 is None or sees_first is None:
+            continue
+        assert hypotheses["v0_sees_dominant_eigenspace"] == sees_v0, (rows, v0)
+        assert hypotheses["eigenvector_sees_first_coordinate"] == sees_first, (rows, v0)
+        outcomes.append((sees_v0, sees_first))
+    # every verdict is reached: 58, 48, 8 and 8 times with this seed
+    counts = [outcomes.count(o) for o in ("negative top", (True, True), (False, True), (True, False))]
+    assert min(counts) >= 5, counts

@@ -30,6 +30,7 @@ from refdyn.transitions import (
     triangle_system,
     tuples_equal,
 )
+from refdyn.transitions import _roots_in_disk
 
 DISPLAYED_CYCLE_PRODUCT = RatMatrix(
     [
@@ -199,6 +200,46 @@ def test_dominant_growth_complex_pair_dominated():
     assert sd.hypotheses["strictly_dominant"]
 
 
+def test_roots_in_disk_compares_moduli():
+    # x^2 - 5x - 2 has the roots (5 +- sqrt 33)/2, about 5.37 and -0.37
+    f = UniPoly((-2, -5, 1))
+    assert _roots_in_disk(f, Fraction(1, 3)) == 0
+    assert _roots_in_disk(f, Fraction(1, 2)) == 1
+    assert _roots_in_disk(f, 5) == 1
+    assert _roots_in_disk(f, 6) == 2
+    # |-2| = |2|: both roots of x^2 - 4 lie on |z| = 2, and the table is singular
+    assert _roots_in_disk(UniPoly((-4, 0, 1)), 2) is None
+    assert _roots_in_disk(UniPoly((-4, 0, 1)), 3) == 2
+    # a root at 0 and a double root: x^2 (x - 1/2)^2 (x - 3)
+    g = UniPoly((0, 0, Fraction(1, 4), -1, 1)) * UniPoly((-3, 1))
+    assert _roots_in_disk(g, 1) == 4
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 4], [1, 0]],  # eigenvalues 2 and -2
+        [[2, 0, 0], [0, 0, -4], [0, 1, 0]],  # eigenvalues 2 and +-2i
+    ],
+    ids=["real", "complex pair"],
+)
+def test_dominant_growth_rejects_a_root_of_equal_modulus(rows):
+    with pytest.raises(CertificationError) as err:
+        dominant_growth(RatMatrix(rows), StateVector((1,) * len(rows)))
+    hyps = err.value.report["hypotheses"]
+    assert {k for k, ok in hyps.items() if not ok} == {"strictly_dominant"}
+    assert str(err.value) == "strict dominance over the other roots not certified"
+
+
+def test_dominant_growth_certifies_a_dominant_factor_with_complex_roots():
+    # x^4 - 2x^3 - x^2 - 3x + 2 is irreducible, with a real root 2.685, a real
+    # root 0.54 and a complex pair of modulus 1.206
+    m = RatMatrix([[0, 0, 0, -2], [1, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, 2]])
+    sd = dominant_growth(m, StateVector((1, 1, 1, 1)))
+    assert sd.factor == char_poly(m)
+    assert all(sd.hypotheses.values())
+
+
 def _with_quartic_block(eigenvalue):
     # block diag(eigenvalue, companion of x^4 + 8x + 16), whose four complex
     # roots all have modulus about 2.12 while the Cauchy bound is 17
@@ -224,6 +265,43 @@ def test_dominant_growth_rejects_dominated_real_root():
     # eigenvalue 2 sits below the complex moduli (~2.12): not certifiable
     with pytest.raises(CertificationError):
         dominant_growth(_with_quartic_block(2), StateVector((1, 1, 1, 1, 1)))
+
+
+# Each matrix has a simple, strictly dominant eigenvalue and makes exactly one
+# eigenvector hypothesis fail.  The irrational ones carry the companion block
+# of x^2 - 4x - 1 (dominant root 2 + sqrt 5), whose left and right eigenvectors
+# for 2 + sqrt 5 are both (1, 2 + sqrt 5).
+EIGENVECTOR_FAILURES = [
+    # left eigenvector (1, 0) is orthogonal to v0 = (0, 1)
+    ("rational, v0 unseen", [[3, 0], [1, 1]], (0, 1), "v0_sees_dominant_eigenspace"),
+    # right eigenvector (0, 1) has zero first coordinate
+    ("rational, first coordinate unseen", [[1, 0], [1, 3]], (1, 1),
+     "eigenvector_sees_first_coordinate"),
+    # left eigenvector (1, 2 + sqrt 5, 0) is orthogonal to v0 = (0, 0, 1)
+    ("irrational, v0 unseen", [[0, 1, 0], [1, 4, 0], [1, 1, 1]], (0, 0, 1),
+     "v0_sees_dominant_eigenspace"),
+    # right eigenvector (0, 1, 2 + sqrt 5) has zero first coordinate
+    ("irrational, first coordinate unseen", [[1, 0, 0], [1, 0, 1], [1, 1, 4]], (1, 1, 1),
+     "eigenvector_sees_first_coordinate"),
+]
+
+EIGENVECTOR_MESSAGES = {
+    "v0_sees_dominant_eigenspace": "start vector lies in the span of the other eigenspaces",
+    "eigenvector_sees_first_coordinate": "dominant eigenvector has zero first coordinate",
+}
+
+
+@pytest.mark.parametrize(
+    "rows,v0,failing",
+    [c[1:] for c in EIGENVECTOR_FAILURES],
+    ids=[c[0] for c in EIGENVECTOR_FAILURES],
+)
+def test_dominant_growth_eigenvector_hypothesis_fails(rows, v0, failing):
+    with pytest.raises(CertificationError) as err:
+        dominant_growth(RatMatrix(rows), StateVector(v0))
+    hyps = err.value.report["hypotheses"]
+    assert {k for k, ok in hyps.items() if not ok} == {failing}
+    assert str(err.value) == EIGENVECTOR_MESSAGES[failing]
 
 
 def test_dominant_growth_matches_sequence_ratio():
