@@ -28,7 +28,7 @@ linearly with the word length and horizons in the hundreds stay cheap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -76,16 +76,18 @@ class RationalPoint:
 @dataclass(frozen=True)
 class CubicHypersurface:
     form: MultiPoly
+    _gradient: tuple[MultiPoly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.form.is_zero() or not self.form.is_homogeneous(3):
             raise ValueError("the form must be a nonzero homogeneous cubic")
+        object.__setattr__(self, "_gradient", tuple(self.form.gradient()))
 
     def contains(self, pt: RationalPoint) -> bool:
         return self.form(pt.coords) == 0
 
     def gradient_at(self, pt: RationalPoint) -> tuple[Fraction, ...]:
-        return tuple(g(pt.coords) for g in self.form.gradient())
+        return tuple(g(pt.coords) for g in self._gradient)
 
 
 def third_intersection(
@@ -174,6 +176,14 @@ class Configuration:
         section = f.set_variable(3, 0)
         if section != self.line_form * self.conic_form:
             raise ValueError("plane section does not split as line * conic")
+        s0, s1 = self.line_span
+        if not (self.on_line(s0) and self.on_line(s1)):
+            raise ValueError("the line_span points must lie on L")
+        if s0 == s1:
+            raise ValueError("the line_span points must be distinct")
+        # a binary cubic with four roots on L vanishes on all of L
+        if any(f(tuple(a + k * b for a, b in zip(s0, s1))) for k in range(4)):
+            raise ValueError("the surface must contain L")
         for name in ("p", "q", "a", "b"):
             if not self.on_line(getattr(self, name)):
                 raise ValueError(f"point {name} must lie on L")
@@ -391,32 +401,32 @@ def reflect_on_line(cfg: Configuration, x: RationalPoint) -> RationalPoint:
     at x and exactly one other point, which is the image.  The answer does
     not depend on the reflection center, and exchanges the two intersection
     points of L with the conic C.
+
+    With w the tangent direction off L, F(u*s0 + v*s1 + t*w) vanishes at
+    t = 0, so the residual conic restricted to L is its t-coefficient
+    grad F(u*s0 + v*s1) . w, a binary quadratic read at s0, s1 and s0 + s1.
     """
     if not cfg.on_line(x):
         raise ValueError("the point must lie on L")
-    f = cfg.surface.form
-    grad = cfg.surface.gradient_at(x)
+    surface = cfg.surface
+    grad = surface.gradient_at(x)
     if all(g == 0 for g in grad):
         raise IndeterminacyError("surface is singular at the point")
     # tangent plane basis: the span of L plus one more solution of grad.v = 0
-    s0, s1 = cfg.line_span
     if grad[2] == 0 and grad[3] == 0:
         raise IndeterminacyError("tangent plane is spanned by L directions only")
-    w = (Fraction(0), Fraction(0), -grad[3], grad[2])
-    # G(t0, t1, t2) = F on the tangent plane; L inside the plane is t2 = 0
-    t0, t1, t2 = (MultiPoly.variable(k, 3) for k in range(3))
-    plane_param = [
-        t0.scale(s0.coords[i]) + t1.scale(s1.coords[i]) + t2.scale(w[i])
-        for i in range(NV)
-    ]
-    g = f.substitute(plane_param)
-    # exact division by the linear form of L in the plane coordinates
-    residual = g.divide_by_variable(2)
-    binary = residual.set_variable(2, 0)
-    # binary(s0c, s1c) = A u^2 + B uv + C v^2 with a root at x's parameter
-    big_a = binary((1, 0, 0))
-    big_c = binary((0, 1, 0))
-    big_b = binary((1, 1, 0)) - big_a - big_c
+    d2, d3 = surface._gradient[2:]
+    s0, s1 = (s.coords for s in cfg.line_span)
+
+    def along_w(pt: tuple[Fraction, ...]) -> Fraction:
+        # grad F(pt) . w with w = (0, 0, -grad[3], grad[2]); pt is a raw
+        # coordinate tuple, not a normalized RationalPoint
+        return d3(pt) * grad[2] - d2(pt) * grad[3]
+
+    # binary(u, v) = A u^2 + B uv + C v^2 with a root at x's parameter
+    big_a = along_w(s0)
+    big_c = along_w(s1)
+    big_b = along_w(tuple(a + b for a, b in zip(s0, s1))) - big_a - big_c
     u0, v0 = cfg.line_parameter(x)
     if big_a * u0 * u0 + big_b * u0 * v0 + big_c * v0 * v0 != 0:
         raise AssertionError("residual conic does not pass through the point")

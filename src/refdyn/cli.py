@@ -255,7 +255,7 @@ def _cmd_billiard(args) -> RunReport:
         )
         found = None
         attempts = 0
-        chunk = max(workers * 2, 8)
+        chunk = workers  # at most workers - 1 seeds run past the first pass
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for base in range(0, len(seeds), chunk):
                 batch = seeds[base : base + chunk]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import RationalLike, as_rational, rat_from_str, rat_to_str
@@ -18,7 +19,7 @@ Exponents = tuple[int, ...]
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_integer_form")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], RationalLike] = ()):
         if nvars < 1:
@@ -40,6 +41,7 @@ class MultiPoly:
                 else:
                     clean.pop(exps, None)
         self.terms: dict[Exponents, Fraction] = clean
+        self._integer_form: tuple | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -152,17 +154,55 @@ class MultiPoly:
         return result
 
     def __call__(self, point: Sequence[RationalLike]) -> Fraction:
+        """Exact value at a rational point, computed in integers.
+
+        With the point written as integers n over the lcm d of its
+        denominators, and the coefficients as integers c_e over the lcm D of
+        theirs, the value is sum_e c_e * n^e * d^(deg - |e|) / (D * d^deg).
+        The (c_e, deg - |e|) list is built on the first call and kept.
+        """
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
         pt = [as_rational(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exps):
-                if e:
-                    v *= x**e
+        if not self.terms:
+            return Fraction(0)
+        if self._integer_form is None:
+            self._integer_form = self._integer_terms()
+        den, deg, top, terms = self._integer_form
+        d = lcm(*(x.denominator for x in pt))
+        pows = []
+        for x, e in zip(pt, top):
+            n = x.numerator * (d // x.denominator)
+            row = [1]
+            for _ in range(e):
+                row.append(row[-1] * n)
+            pows.append(row)
+        dpow = [1]
+        for _ in range(deg):
+            dpow.append(dpow[-1] * d)
+        total = 0
+        for c, k, factors in terms:
+            v = c * dpow[k]
+            for i, e in factors:
+                v *= pows[i][e]
             total += v
-        return total
+        return Fraction(total, den * dpow[deg])
+
+    def _integer_terms(self) -> tuple:
+        """(D, deg, largest exponent per variable, [(c_e, deg - |e|, ((i, e_i), ...))])
+        with every coefficient equal to c_e / D."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        deg = self.total_degree()
+        top = [max(exps[i] for exps in self.terms) for i in range(self.nvars)]
+        terms = [
+            (
+                c.numerator * (den // c.denominator),
+                deg - sum(exps),
+                tuple((i, e) for i, e in enumerate(exps) if e),
+            )
+            for exps, c in self.terms.items()
+        ]
+        return den, deg, top, terms
 
     def derivative(self, i: int) -> "MultiPoly":
         out: dict[Exponents, Fraction] = {}

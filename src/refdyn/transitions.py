@@ -314,6 +314,24 @@ def _roots_in_disk(h: UniPoly, r: Fraction) -> int | None:
     return k
 
 
+def _strictly_dominant(sf: UniPoly, mu: AlgebraicReal) -> bool:
+    """Whether every root of the square-free sf other than its root mu lies in
+    |z| < r for some r < mu: then exactly deg - 1 roots lie in |z| < mu.lo.
+    A disk |z| < mu.hi that misses a root refutes it at once, since that root
+    has modulus >= mu.hi > mu; a root of modulus exactly mu spends all 64
+    refinements."""
+    cur = mu
+    for _ in range(64):
+        if cur.lo > 0:
+            if _roots_in_disk(sf, cur.lo) == sf.degree - 1:
+                return True
+            outer = _roots_in_disk(sf, cur.hi)
+            if outer is not None and outer < sf.degree:
+                return False
+        cur = cur.refined(cur.width() / 4)
+    return False
+
+
 def _adjugate_sees(cp: UniPoly, krylov: list, modulus: UniPoly) -> bool:
     """Whether sum_k q_k(theta) * krylov[k] is nonzero at a root theta of the
     irreducible `modulus`.  With q_k = cp.coeffs[k+1:] read as a polynomial,
@@ -377,16 +395,8 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
             f"dominant eigenvalue is a repeated root (multiplicity {mu_mult})"
         )
 
-    # every other root in |z| < r < mu1: the square-free part keeps exactly one
-    # root, mu1 itself, outside the disk of radius r
     if hypotheses["strictly_dominant"]:
-        sf = cp.square_free_part().primitive()
-        cur = mu
-        for _ in range(64):
-            if cur.lo > 0 and _roots_in_disk(sf, cur.lo) == sf.degree - 1:
-                break
-            cur = cur.refined(cur.width() / 4)
-        else:
+        if not _strictly_dominant(cp.square_free_part().primitive(), mu):
             hypotheses["strictly_dominant"] = False
             failures.append("strict dominance over the other roots not certified")
 

@@ -189,6 +189,34 @@ def test_configuration_json_roundtrip(cfg):
     assert again.p == cfg.p and again.b == cfg.b
 
 
+@pytest.mark.parametrize(
+    "span,message",
+    [
+        ([["1", "0", "0", "0"], ["0", "1", "1", "0"]], "must lie on L"),  # off L
+        ([["1", "2", "0", "0"], ["-1", "-2", "0", "0"]], "must be distinct"),  # repeated
+    ],
+)
+def test_configuration_from_obj_rejects_a_bad_line_span(cfg, span, message):
+    obj = cfg.to_obj()
+    obj["line_span"] = span
+    with pytest.raises(ValueError, match=message):
+        Configuration.from_obj(obj)
+
+
+def test_configuration_rejects_a_surface_missing_l(cfg):
+    # tilt the marked plane to x3 = x0: the points keep their conic and line
+    # equations, but the surface F = x2*c + x3*Q no longer vanishes on L
+    def tilt(coords):
+        return [str(coords[0]), str(coords[1]), str(coords[2]), str(coords[0])]
+
+    obj = cfg.to_obj()
+    obj["plane_form"] = (MultiPoly.variable(3, 4) - MultiPoly.variable(0, 4)).to_obj()
+    obj["line_span"] = [tilt(s.coords) for s in cfg.line_span]
+    obj["points"] = {name: tilt(getattr(cfg, name).coords) for name in "pqrab"}
+    with pytest.raises(ValueError, match="must contain L"):
+        Configuration.from_obj(obj)
+
+
 def test_reflect_on_line_involution(cfg):
     rng = random.Random(2)
     checked = 0

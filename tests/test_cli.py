@@ -224,6 +224,24 @@ def test_billiard_check_thread_env(capsys, monkeypatch):
     assert code == 0 and obj["certificates"]["passed"]
 
 
+@pytest.mark.parametrize("seed_range", ["0..20", "2..20"])
+def test_billiard_check_runs_no_speculative_seed(capsys, monkeypatch, seed_range):
+    from refdyn import billiards
+
+    calls = []
+    check = billiards.check_configuration
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].seed)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(billiards, "check_configuration", counting)
+    code, obj = run_json(capsys, "billiard", "check", "--seed-range", seed_range)
+    assert code == 0
+    assert len(calls) == obj["outputs"]["attempts"]
+    assert calls[-1] == obj["outputs"]["seed"]
+
+
 def test_billiard_check_failure_exit_code(capsys):
     # horizon 1 cannot reach a safe point: nonzero exit, report retained
     code, obj = run_json(

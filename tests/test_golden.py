@@ -51,6 +51,21 @@ GOLDEN = [
         "dc396d321a352ad7bcff80a8db94ac79e23479b5a610d1592597c9774e9deeec",
     ),
     (
+        "billiard build --seed 11",
+        0,
+        "66443fc8d99fce7b629cf53d34e68654c2ef54b7b93c476659000357c8949a62",
+    ),
+    (
+        "billiard orbit --seed 11 --start=-2/5 --word pqrqprqrp",
+        0,
+        "d25328b9c666cadb4c6c91768e3aa58d278bf6487d9b0514d237627411fdd79e",
+    ),
+    (
+        "billiard check --seed-range 0..40 --horizon 50",
+        0,
+        "3144fc14e41025f04927d299fc3fb06201723ab38d2161d83996640187b82f2d",
+    ),
+    (
         "germ evolve --steps 120 --order 32 --seed 4 --format csv",
         0,
         "61af28a5688720ed69a8723b108a39cffbbd0e75862565b8e9c735d2d638f43d",

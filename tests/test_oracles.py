@@ -2,18 +2,23 @@
 built on it, factorization over Q, real root isolation and exact comparison
 of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
 `dominant_growth` against numpy's floating-point roots and eigenvectors.
+`MultiPoly.__call__` against term-by-term Fraction evaluation, and
+`reflect_on_line` against the tangent-plane substitution it replaced.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy or
 numpy.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from refdyn.billiards import RationalPoint, build_configuration, reflect_on_line
 from refdyn.core import (
+    MultiPoly,
     RatMatrix,
     UniPoly,
     algebraic_cmp,
@@ -288,3 +293,92 @@ def test_dominant_growth_hypotheses_match_numpy():
     # every verdict is reached: 58, 48, 8 and 8 times with this seed
     counts = [outcomes.count(o) for o in ("negative top", (True, True), (False, True), (True, False))]
     assert min(counts) >= 5, counts
+
+
+def _plain_value(poly: MultiPoly, point) -> Fraction:
+    """Term-by-term Fraction evaluation: the definition of p(point)."""
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exps):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def _random_coordinate(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    big = 10 ** rng.randint(12, 40) + rng.randint(1, 10**6)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**30), big)
+
+
+def test_multipoly_call_matches_plain_fraction_evaluation():
+    rng = random.Random(51)
+    for case in range(300):
+        nvars = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            terms[exps] = Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 7, 10**9 + 7)))
+        if case % 10 == 0:
+            terms = {}  # the zero polynomial
+        elif case % 10 == 1:
+            terms = {(0,) * nvars: Fraction(rng.randint(-9, 9), rng.randint(1, 9))}
+        poly = MultiPoly(nvars, terms)
+        for _ in range(4):
+            point = tuple(_random_coordinate(rng) for _ in range(nvars))
+            value = poly(point)
+            assert isinstance(value, Fraction)
+            assert value == _plain_value(poly, point), (poly, point)
+            # a second call reads the cached integer form
+            assert poly(point) == value
+    assert MultiPoly.zero(3)((1, 2, 3)) == 0
+    assert MultiPoly.constant(2, Fraction(-5, 3))((0, Fraction(1, 10**50))) == Fraction(-5, 3)
+
+
+def _reflect_on_line_by_substitution(cfg, x):
+    """The tangent-plane construction written out: restrict F to the plane
+    spanned by L and w, divide by the equation of L and read the residual
+    binary quadratic on L."""
+    grad = cfg.surface.gradient_at(x)
+    w = (Fraction(0), Fraction(0), -grad[3], grad[2])
+    s0, s1 = cfg.line_span
+    t0, t1, t2 = (MultiPoly.variable(k, 3) for k in range(3))
+    plane = [
+        t0.scale(s0.coords[i]) + t1.scale(s1.coords[i]) + t2.scale(w[i]) for i in range(4)
+    ]
+    binary = cfg.surface.form.substitute(plane).divide_by_variable(2).set_variable(2, 0)
+    big_a = binary((1, 0, 0))
+    big_c = binary((0, 1, 0))
+    big_b = binary((1, 1, 0)) - big_a - big_c
+    u0, v0 = cfg.line_parameter(x)
+    if v0 != 0:
+        m0 = big_a / v0
+        m1 = (big_b + m0 * u0) / v0
+    else:
+        m0, m1 = -big_b / u0, -big_c / u0
+    return cfg.point_from_parameter(m1, -m0)
+
+
+def test_reflect_on_line_matches_the_substitution_construction():
+    rng = random.Random(52)
+    for seed in range(20):
+        cfg = build_configuration(seed)
+        if seed % 2:
+            # a span whose sum is not lead-normalised
+            k = rng.choice((-3, -2, 2, 3))
+            span = (RationalPoint((1, k, 0, 0)), RationalPoint((1, -k - 1, 0, 0)))
+            cfg = dataclasses.replace(cfg, line_span=span)
+        points = [cfg.p, cfg.a]
+        while len(points) < 5:
+            points.append(cfg.point_from_parameter(rng.randint(-30, 30), rng.randint(-30, 30) or 1))
+        for x in points:
+            expected = _reflect_on_line_by_substitution(cfg, x)
+            image = reflect_on_line(cfg, x)
+            assert image == expected

@@ -267,6 +267,27 @@ def test_dominant_growth_rejects_dominated_real_root():
         dominant_growth(_with_quartic_block(2), StateVector((1, 1, 1, 1, 1)))
 
 
+def test_dominant_growth_refutes_a_larger_root_at_once(monkeypatch):
+    # -3 outgrows the positive eigenvalue 2: a disk around 2 that misses -3
+    # settles it without refining toward 2
+    from refdyn import transitions
+
+    counts = []
+
+    def counting(h, r):
+        counts.append(r)
+        return _roots_in_disk(h, r)
+
+    monkeypatch.setattr(transitions, "_roots_in_disk", counting)
+    with pytest.raises(CertificationError) as err:
+        dominant_growth(RatMatrix([[2, 0], [0, -3]]), StateVector((1, 1)))
+    assert str(err.value) == "strict dominance over the other roots not certified"
+    assert {k for k, ok in err.value.report["hypotheses"].items() if not ok} == {
+        "strictly_dominant"
+    }
+    assert 1 <= len(counts) <= 2
+
+
 # Each matrix has a simple, strictly dominant eigenvalue and makes exactly one
 # eigenvector hypothesis fail.  The irrational ones carry the companion block
 # of x^2 - 4x - 1 (dominant root 2 + sqrt 5), whose left and right eigenvectors
