@@ -257,9 +257,12 @@ def _cmd_billiard(args) -> RunReport:
         attempts = 0
         chunk = workers  # at most workers - 1 seeds run past the first pass
         with ThreadPoolExecutor(max_workers=workers) as pool:
+            # one worker runs in this thread: under the GIL a pool thread
+            # would only add a hand-off to it and back for every seed
+            search = map if workers == 1 else pool.map
             for base in range(0, len(seeds), chunk):
                 batch = seeds[base : base + chunk]
-                for seed, chk in pool.map(attempt, batch):
+                for seed, chk in search(attempt, batch):
                     attempts += 1
                     if chk is not None and chk.get("status") == "success":
                         found = (seed, chk)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -240,6 +241,23 @@ def test_billiard_check_runs_no_speculative_seed(capsys, monkeypatch, seed_range
     assert code == 0
     assert len(calls) == obj["outputs"]["attempts"]
     assert calls[-1] == obj["outputs"]["seed"]
+
+
+def test_billiard_check_single_worker_stays_in_the_calling_thread(capsys, monkeypatch):
+    from refdyn import billiards
+
+    threads = set()
+    check = billiards.check_configuration
+
+    def recording(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return check(*args, **kwargs)
+
+    monkeypatch.delenv("REFDYN_THREADS", raising=False)
+    monkeypatch.setattr(billiards, "check_configuration", recording)
+    code, obj = run_json(capsys, "billiard", "check", "--seed-range", "2..9")
+    assert code == 0 and obj["outputs"]["attempts"] == 2
+    assert threads == {threading.current_thread()}
 
 
 def test_billiard_check_failure_exit_code(capsys):
