@@ -479,6 +479,9 @@ RETURN_WORD = "rqprqp"
 # the induced projective-line map
 # ---------------------------------------------------------------------------
 
+# admissible probes per fit: three fix the map, the other three certify it
+_PROBES = 6
+
 
 @dataclass(frozen=True)
 class MobiusMap:
@@ -541,9 +544,7 @@ def _fit_line_map(
     return MobiusMap(RatMatrix([sol[:2], sol[2:]]))
 
 
-def return_map(
-    cfg: Configuration, word: str = RETURN_WORD, probe_count: int = 6
-) -> MobiusMap:
+def return_map(cfg: Configuration, word: str = RETURN_WORD) -> MobiusMap:
     """Fit and certify the projective-line map induced on L by the word.
 
     Probes are rational points of L (indeterminate orbits are skipped and
@@ -553,7 +554,7 @@ def return_map(
     pairs = []
     tried = 0
     t = 2
-    while len(pairs) < max(probe_count, 4) and tried < 200:
+    while len(pairs) < _PROBES and tried < 200:
         tried += 1
         probe = cfg.point_from_parameter(1, t)
         t += 1

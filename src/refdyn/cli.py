@@ -503,8 +503,13 @@ def _seed_range(text: str) -> range:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value with a leading "-", such as a negative start, for
+    # an option unless it is joined to its flag
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--start":
+            argv[i : i + 2] = [f"--start={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         report: RunReport = args.func(args)

@@ -18,8 +18,8 @@ further integer points.  Only a candidate that passes all of them is built as
 a polynomial, and the exact trial division is its certificate.
 
 The search is exhaustive and certifiably correct but exponential in
-principle, hence the hard degree bound (default 8; everything this package
-factors has degree <= 6).
+principle, hence the hard degree bound DEGREE_BOUND = 8 (everything this
+package factors has degree <= 6).
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .unipoly import UniPoly
 DEGREE_BOUND = 8
 
 
-def factor_over_rationals(
-    p: UniPoly, max_degree: int = DEGREE_BOUND
-) -> list[tuple[UniPoly, int]]:
+def factor_over_rationals(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Irreducible monic-free factorization: p = const * prod f_i^{m_i}.
 
     Each returned factor is a primitive integer polynomial with positive
@@ -46,9 +44,9 @@ def factor_over_rationals(
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree > max_degree:
+    if p.degree > DEGREE_BOUND:
         raise ValueError(
-            f"degree {p.degree} exceeds the factorization bound {max_degree}"
+            f"degree {p.degree} exceeds the factorization bound {DEGREE_BOUND}"
         )
     factors: dict[UniPoly, int] = {}
 
@@ -76,13 +74,8 @@ def _factor_square_free(h: UniPoly) -> list[UniPoly]:
         lin = UniPoly((-root.numerator, root.denominator)).primitive()
         h = (h // UniPoly((-root, 1))).primitive()
         out.append(lin)
-    if h.degree <= 0:
-        return out
-    if h.degree <= 3:
-        # square-free, no rational roots, degree 2 or 3: irreducible
-        out.append(h)
-        return out
-    out.extend(_kronecker_split(h))
+    if h.degree > 0:
+        out.extend(_kronecker_split(h))
     return out
 
 
@@ -124,30 +117,17 @@ def _mignotte_bound(h: UniPoly, d: int) -> int:
 
 
 def _kronecker_split(h: UniPoly) -> list[UniPoly]:
-    """Fully factor a primitive square-free integer polynomial of degree >= 4
-    with no rational roots, by exhaustive divisor interpolation."""
+    """Fully factor a primitive square-free integer polynomial of degree >= 2
+    with no rational roots, by exhaustive divisor interpolation.  Having no
+    rational root, a polynomial of degree 2 or 3 is irreducible and returned
+    as it is."""
     n = h.degree
     for d in range(2, n // 2 + 1):
         g = _find_factor_of_degree(h, d)
         if g is not None:
             rest = (h // g).primitive()
-            return _kronecker_split_or_atom(g) + _kronecker_split_or_atom(rest)
+            return _kronecker_split(g) + _kronecker_split(rest)
     return [h]
-
-
-def _kronecker_split_or_atom(h: UniPoly) -> list[UniPoly]:
-    if h.degree <= 3:
-        # any rational roots were already stripped upstream, but a freshly
-        # split factor of degree 2 or 3 may still have them
-        out = []
-        g = h
-        for root in rational_roots(g):
-            out.append(UniPoly((-root.numerator, root.denominator)).primitive())
-            g = (g // UniPoly((-root, 1))).primitive()
-        if g.degree > 0:
-            out.append(g)
-        return out
-    return _kronecker_split(h)
 
 
 def _find_factor_of_degree(h: UniPoly, d: int) -> UniPoly | None:

@@ -3,16 +3,21 @@
 A branch through the first vertex is a 6-tuple of power series in a local
 parameter; each reflection substitutes the tuple into an explicit quadratic
 map and divides out the largest common power of t, so only the vector of
-valuations matters for the degree bookkeeping.  `valuation_step` advances
-that vector symbolically (and checks it against the transition matrices);
-`series_evolve` pushes an actual series tuple through the maps and verifies
-that no coefficient cancellation ever disturbs the predicted valuations.
+valuations matters for the degree bookkeeping.  One private rule,
+`_valuation_rule`, computes what a reflection does to that vector: the
+valuation sums of the quadric's support pairs and the normalized image.  It
+reads the quadric slot and the pair supports from
+`reflection_maps.QUADRIC_SLOTS` and `MONOMIAL_SUPPORTS`.  `valuation_step` applies the rule (and checks it
+against the transition matrices), `verify_minimal_pairs` records its minimal
+pairs, and `series_evolve` pushes an actual series tuple through the maps and
+verifies that no coefficient cancellation ever disturbs the predicted
+valuations.
 
-Series evolution bookkeeping: each component is stored as an explicit
-valuation plus a coefficient window of fixed length starting at the leading
-term, with coefficients reduced modulo a large prime.  A nonzero residue
-certifies that the true rational coefficient is nonzero, which is all the
-valuation check needs, while keeping coefficient growth bounded; residues
+Series evolution bookkeeping: each component is a coefficient window of
+fixed length starting at its leading term, at the valuation the symbolic
+chain predicts, with coefficients reduced modulo a large prime.  A nonzero
+residue certifies that the true rational coefficient is nonzero, which is all
+the valuation check needs, while keeping coefficient growth bounded; residues
 above a guard index are re-randomized each step so that the evolution stays
 generic.  A zero leading residue is reported as a cancellation, never
 silently absorbed.
@@ -26,14 +31,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import TruncatedSeries, valuation as series_valuation
-from .reflection_maps import MONOMIAL_SUPPORTS, TriangleChart, random_chart
+from .reflection_maps import (
+    MONOMIAL_SUPPORTS,
+    QUADRIC_SLOTS,
+    TriangleChart,
+    monomial_pair,
+    random_chart,
+)
 from .transitions import triangle_matrices
 
 _PRIME = (1 << 61) - 1
-
-# quadratic-map layout per phase: every component except the listed slot is
-# x_phase * x_j; the slot holds the support-drawn quadric
-_Q_SLOT = {0: 5, 1: 4, 2: 3}
+# window residues from this index on are re-randomized after every step
+_GUARD = 8
 
 # support pair achieving the minimal valuation sum, per phase
 PREDICTED_PAIRS = {0: (3, 4), 1: (3, 5), 2: (4, 5)}
@@ -73,47 +82,41 @@ def dominance_holds(vals: Sequence[int]) -> bool:
     return min(vals[0], vals[1], vals[2]) >= max(vals[3], vals[4], vals[5])
 
 
-def _raw_image_valuations(d: Sequence[int], phase: int) -> tuple[list[int], int]:
-    """Component valuations of the reflected tuple before normalization,
-    plus the minimal support sum used in the quadric slot."""
-    slot = _Q_SLOT[phase]
-    sums = {pair: d[pair[0]] + d[pair[1]] for pair in MONOMIAL_SUPPORTS[phase]}
-    vq = min(sums.values())
-    raw = [d[phase] + d[j] for j in range(6)]
-    raw[slot] = vq
-    return raw, vq
+def _valuation_rule(
+    vals: Sequence[int], phase: int
+) -> tuple[dict, list, tuple[int, ...]]:
+    """The valuation rule of one reflection.
 
-
-def minimal_pair(d: Sequence[int], phase: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """The predicted minimal support pair and the full list of minimizers.
-
-    Raises GenericityError when the predicted pair fails to achieve the
-    minimum (a strictly smaller competitor crosses the prediction).
+    Returns the valuation sum of every support pair of the phase's quadric,
+    the pairs that reach the minimal sum (in support order) and the image
+    valuations normalized to minimum zero.  Component j of the image is
+    x_phase * x_j, valued vals[phase] + vals[j], except the quadric slot,
+    which a generic quadric values at the minimal pair sum.
     """
-    sums = {pair: d[pair[0]] + d[pair[1]] for pair in MONOMIAL_SUPPORTS[phase]}
-    mn = min(sums.values())
-    ties = sorted(p for p, s in sums.items() if s == mn)
-    predicted = PREDICTED_PAIRS[phase]
-    if sums[predicted] != mn:
-        raise GenericityError(
-            f"predicted pair {predicted} does not achieve the minimum at phase {phase};"
-            f" minimizers: {ties}"
-        )
-    return predicted, ties
+    sums = {pair: vals[pair[0]] + vals[pair[1]] for pair in MONOMIAL_SUPPORTS[phase]}
+    vq = min(sums.values())
+    raw = [vals[phase] + v for v in vals]
+    raw[QUADRIC_SLOTS[phase]] = vq
+    mn = min(raw)
+    return sums, [p for p, s in sums.items() if s == vq], tuple(v - mn for v in raw)
 
 
 def valuation_step(d: ValuationVector) -> tuple[ValuationVector, tuple[int, int]]:
     """One reflection applied to a valuation vector.
 
-    Computes the raw image valuations, normalizes by the minimal entry and
-    increments the phase; the result is asserted against left-multiplication
-    by the corresponding transition matrix.
+    Applies the valuation rule and increments the phase.  Raises
+    GenericityError when the phase's predicted pair does not reach the
+    minimal sum; the result is asserted against left-multiplication by the
+    corresponding transition matrix.
     """
     phase = d.phase % 3
-    pair, _ = minimal_pair(d.vals, phase)
-    raw, _ = _raw_image_valuations(d.vals, phase)
-    mn = min(raw)
-    new_vals = tuple(v - mn for v in raw)
+    _, ties, new_vals = _valuation_rule(d.vals, phase)
+    pair = PREDICTED_PAIRS[phase]
+    if pair not in ties:
+        raise GenericityError(
+            f"predicted pair {pair} does not achieve the minimum at phase {phase};"
+            f" minimizers: {ties}"
+        )
     predicted = triangle_matrices()[phase].matvec(d.vals)
     if tuple(int(x) for x in predicted) != new_vals:
         raise AssertionError(
@@ -138,14 +141,11 @@ def verify_minimal_pairs(steps: int) -> dict:
         raise ValueError("need at least 3 steps to cover all phases")
     rows = []
     d = transverse_start()
-    all_match = True
     for k in range(steps):
         phase = d.phase % 3
         predicted = PREDICTED_PAIRS[phase]
-        sums = {p: d.vals[p[0]] + d.vals[p[1]] for p in MONOMIAL_SUPPORTS[phase]}
-        mn = min(sums.values())
-        ties = sorted(p for p, s in sums.items() if s == mn)
-        match = sums[predicted] == mn
+        _, ties, image = _valuation_rule(d.vals, phase)
+        match = predicted in ties
         rows.append(
             {
                 "step": k,
@@ -157,12 +157,9 @@ def verify_minimal_pairs(steps: int) -> dict:
                 "tied_pairs": [list(t) for t in ties],
             }
         )
-        all_match = all_match and match
-        raw, _ = _raw_image_valuations(d.vals, phase)
-        mn_raw = min(raw)
-        d = ValuationVector(tuple(v - mn_raw for v in raw), d.phase + 1)
+        d = ValuationVector(image, d.phase + 1)
     first_bad = next((r["step"] for r in rows if not r["match"]), None)
-    return {"steps": steps, "all_match": all_match, "first_mismatch": first_bad, "rows": rows}
+    return {"steps": steps, "all_match": first_bad is None, "first_mismatch": first_bad, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +202,14 @@ def random_transverse_trait(seed: int = 0, order: int = 64) -> CurveTrait:
     return CurveTrait(series, transverse_start())
 
 
-class _WindowSeries:
-    """Valuation + leading coefficient window, residues mod a large prime."""
-
-    __slots__ = ("val", "window")
-
-    def __init__(self, val: int, window: list[int]):
-        self.val = val
-        self.window = window
-
-
-def _to_window(s: TruncatedSeries, length: int) -> _WindowSeries:
+def _to_window(s: TruncatedSeries, length: int) -> list[int]:
+    """Residues of the coefficients from the leading term on."""
     val = series_valuation(s)
     window = []
     for i in range(val, val + length):
         c = s.coeffs[i] if i < s.order else Fraction(0)
         window.append(c.numerator * pow(c.denominator, -1, _PRIME) % _PRIME)
-    return _WindowSeries(val, window)
+    return window
 
 
 def _window_mul(a: list[int], b: list[int], length: int) -> list[int]:
@@ -238,74 +226,58 @@ def series_evolve(
     trait: CurveTrait,
     steps: int,
     chart: TriangleChart | None = None,
-    guard: int = 8,
     seed: int = 0,
 ) -> list[ValuationVector]:
     """Push a trait through the reflections cyclically, recording the
-    valuation vector after each step and checking it against the symbolic
-    chain; any cancellation aborts with the offending step."""
+    valuation vector after each step.
+
+    The valuations follow the symbolic chain of `valuation_step`; the series
+    certify it, because each component's valuation is the predicted one
+    exactly when its leading residue is nonzero.  A zero leading residue
+    aborts with the offending step and component.
+    """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if chart is None:
         chart = random_chart(seed)
     order = trait.series[0].order
     rng = random.Random(f"evolve-{seed}")
-    comps = [_to_window(s, order) for s in trait.series]
-    q_res = []
-    for l in range(3):
-        poly = (chart.q0, chart.q1, chart.q2)[l]
-        res = {}
-        for exps, c in poly.terms.items():
-            pair = tuple(i for i, e in enumerate(exps) for _ in range(e))
-            res[pair] = c.numerator * pow(c.denominator, -1, _PRIME) % _PRIME
-        q_res.append(res)
-
-    predicted = trait.valuations
+    windows = [_to_window(s, order) for s in trait.series]
+    quadrics = [
+        {
+            monomial_pair(e): c.numerator * pow(c.denominator, -1, _PRIME) % _PRIME
+            for e, c in q.terms.items()
+        }
+        for q in (chart.q0, chart.q1, chart.q2)
+    ]
+    d = trait.valuations
     out: list[ValuationVector] = []
     for k in range(steps):
-        phase = predicted.phase % 3
-        predicted, _ = valuation_step(predicted)
-        slot = _Q_SLOT[phase]
-        vals = [c.val for c in comps]
-        new: list[_WindowSeries] = [None] * 6  # type: ignore[list-item]
-        for j in range(6):
-            if j == slot:
-                continue
-            window = _window_mul(comps[phase].window, comps[j].window, order)
-            new[j] = _WindowSeries(vals[phase] + vals[j], window)
-        sums = {
-            pair: vals[pair[0]] + vals[pair[1]] for pair in MONOMIAL_SUPPORTS[phase]
-        }
+        phase = d.phase % 3
+        sums, _, _ = _valuation_rule(d.vals, phase)
+        d, _ = valuation_step(d)
         vq = min(sums.values())
         acc = [0] * order
-        for pair, coef in q_res[phase].items():
+        for pair, coef in quadrics[phase].items():
             off = sums[pair] - vq
             if off >= order:
                 continue
-            prod = _window_mul(comps[pair[0]].window, comps[pair[1]].window, order - off)
+            prod = _window_mul(windows[pair[0]], windows[pair[1]], order - off)
             for idx, x in enumerate(prod):
                 acc[idx + off] = (acc[idx + off] + coef * x) % _PRIME
-        new[slot] = _WindowSeries(vq, acc)
-        for j in range(6):
-            if new[j].window[0] == 0:
+        slot = QUADRIC_SLOTS[phase]
+        windows = [
+            acc if j == slot else _window_mul(windows[phase], w, order)
+            for j, w in enumerate(windows)
+        ]
+        for j, w in enumerate(windows):
+            if w[0] == 0:
                 raise CancellationError(
                     f"leading coefficient vanished at step {k}, component {j}",
                     step=k,
                     component=j,
                 )
-        mn = min(c.val for c in new)
-        for c in new:
-            c.val -= mn
-            for idx in range(guard, order):
-                c.window[idx] = rng.randrange(_PRIME)
-        comps = new
-        observed = ValuationVector(tuple(c.val for c in comps), predicted.phase)
-        if observed.vals != predicted.vals:
-            raise CancellationError(
-                f"observed valuations {observed.vals} differ from predicted "
-                f"{predicted.vals} at step {k}",
-                step=k,
-                component=-1,
-            )
-        out.append(observed)
+            for idx in range(_GUARD, order):
+                w[idx] = rng.randrange(_PRIME)
+        out.append(d)
     return out

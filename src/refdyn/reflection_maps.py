@@ -15,7 +15,10 @@ identities stay visible.
 
 The triangle charts put the three vertices at coordinate points with
 coordinate tangent hyperplanes; each reflection formula then has a single
-free slot, a quadric drawn from a fixed monomial support.
+free slot, a quadric drawn from a fixed monomial support.  `QUADRIC_SLOTS`
+is the one table of which component carries each reflection's quadric, and
+`MONOMIAL_SUPPORTS` holds each support as sorted index pairs; `monomial_pair`
+reads an exponent tuple as such a pair.  `germs` takes all three from here.
 """
 
 from __future__ import annotations
@@ -182,73 +185,26 @@ def random_adapted_cubic(seed: int = 0) -> AdaptedCubic:
 # triangle charts
 # ---------------------------------------------------------------------------
 
-# quadratic monomial supports for the three free slots, as index pairs
-_HEAD = (0, 1, 2)
-MONOMIAL_SUPPORTS: tuple[tuple[tuple[int, int], ...], ...] = (
+# reflection l carries its quadric in component QUADRIC_SLOTS[l] and
+# x_l * x_j in every other component j
+QUADRIC_SLOTS = (5, 4, 3)
+
+# the quadric's admissible monomials, as sorted index pairs: a head index
+# (0, 1, 2) times anything but the slot, plus two more pairs per reflection
+MONOMIAL_SUPPORTS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(
         sorted(
-            {tuple(sorted((a, b))) for a in _HEAD for b in (0, 1, 2, 3, 4)}
-            | {(3, 4), (0, 5)}
+            {tuple(sorted((a, b))) for a in (0, 1, 2) for b in range(NVARS) if b != slot}
+            | extra
         )
-    ),
-    tuple(
-        sorted(
-            {tuple(sorted((a, b))) for a in _HEAD for b in (0, 1, 2, 3, 5)}
-            | {(3, 5), (1, 4)}
-        )
-    ),
-    tuple(
-        sorted(
-            {tuple(sorted((a, b))) for a in _HEAD for b in (0, 1, 2, 4, 5)}
-            | {(4, 5), (2, 3)}
-        )
-    ),
+    )
+    for slot, extra in zip(QUADRIC_SLOTS, ({(3, 4), (0, 5)}, {(3, 5), (1, 4)}, {(4, 5), (2, 3)}))
 )
 
 
-@dataclass(frozen=True)
-class MonomialSupport:
-    """A set of quadratic monomials in six variables, as exponent tuples."""
-
-    exponents: frozenset[tuple[int, ...]]
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, tuple) and len(item) == 2 and all(
-            isinstance(x, int) for x in item
-        ):
-            e = [0] * NVARS
-            e[item[0]] += 1
-            e[item[1]] += 1
-            return tuple(e) in self.exponents
-        return tuple(item) in self.exponents
-
-    def admits(self, poly: MultiPoly) -> bool:
-        return all(e in self.exponents for e in poly.terms)
-
-
-def _pairs_to_support(pairs) -> MonomialSupport:
-    exps = set()
-    for i, j in pairs:
-        e = [0] * NVARS
-        e[i] += 1
-        e[j] += 1
-        exps.add(tuple(e))
-    return MonomialSupport(frozenset(exps))
-
-
-def monomial_supports() -> tuple[MonomialSupport, MonomialSupport, MonomialSupport]:
-    """The admissible quadric supports for the three triangle reflections."""
-    return tuple(_pairs_to_support(p) for p in MONOMIAL_SUPPORTS)  # type: ignore[return-value]
-
-
-# triangle vertices in the chart, and the coordinate index whose vanishing
-# cuts the tangent hyperplane at each vertex
-TRIANGLE_VERTICES = (
-    (0, 0, 0, 0, 0, 1),
-    (0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 1, 0, 0),
-)
-TANGENT_COORDINATES = (0, 1, 2)
+def monomial_pair(exponents: Sequence[int]) -> tuple[int, ...]:
+    """The sorted index pair of a quadratic monomial's exponent tuple."""
+    return tuple(i for i, e in enumerate(exponents) for _ in range(e))
 
 
 @dataclass(frozen=True)
@@ -261,11 +217,10 @@ class TriangleChart:
     q2: MultiPoly
 
     def __post_init__(self) -> None:
-        supports = monomial_supports()
         for l, poly in enumerate((self.q0, self.q1, self.q2)):
             if poly.nvars != NVARS or not poly.is_homogeneous(2) or poly.is_zero():
                 raise ValueError(f"slot {l} must be a nonzero quadratic form")
-            if not supports[l].admits(poly):
+            if any(monomial_pair(e) not in MONOMIAL_SUPPORTS[l] for e in poly.terms):
                 raise ValueError(f"slot {l} uses monomials outside its support")
 
     def to_obj(self) -> dict:
@@ -298,20 +253,12 @@ def random_chart(seed: int = 0) -> TriangleChart:
 def triangle_formulas(
     chart: TriangleChart,
 ) -> tuple[ProjectiveMap, ProjectiveMap, ProjectiveMap]:
-    """The three vertex reflections of the chart.
-
-    Reflection l multiplies every coordinate by x_l except one slot, which
-    carries the support-drawn quadric: slot 5 for the first vertex, 4 for
-    the second, 3 for the third.
-    """
-    x0, x1, x2 = _var(0), _var(1), _var(2)
-    s0 = ProjectiveMap(
-        (x0 * x0, x0 * x1, x0 * x2, x0 * _var(3), x0 * _var(4), chart.q0)
+    """The three vertex reflections of the chart: reflection l multiplies
+    every coordinate by x_l except slot QUADRIC_SLOTS[l], which carries q_l."""
+    quadrics = (chart.q0, chart.q1, chart.q2)
+    return tuple(  # type: ignore[return-value]
+        ProjectiveMap(
+            tuple(quadrics[l] if j == slot else _var(l) * _var(j) for j in range(NVARS))
+        )
+        for l, slot in enumerate(QUADRIC_SLOTS)
     )
-    s1 = ProjectiveMap(
-        (x1 * x0, x1 * x1, x1 * x2, x1 * _var(3), chart.q1, x1 * _var(5))
-    )
-    s2 = ProjectiveMap(
-        (x2 * x0, x2 * x1, x2 * x2, chart.q2, x2 * _var(4), x2 * _var(5))
-    )
-    return s0, s1, s2

@@ -215,8 +215,8 @@ def conic_line_system() -> TransitionSystem:
 # ---------------------------------------------------------------------------
 
 
-def triangle_matrices() -> tuple[RatMatrix, RatMatrix, RatMatrix]:
-    p0 = RatMatrix(
+_TRIANGLE_MATRICES = (
+    RatMatrix(
         [
             [2, 0, 0, -1, -1, 0],
             [1, 1, 0, -1, -1, 0],
@@ -225,8 +225,8 @@ def triangle_matrices() -> tuple[RatMatrix, RatMatrix, RatMatrix]:
             [1, 0, 0, -1, 0, 0],
             [0, 0, 0, 0, 0, 0],
         ]
-    )
-    p1 = RatMatrix(
+    ),
+    RatMatrix(
         [
             [1, 1, 0, -1, 0, -1],
             [0, 2, 0, -1, 0, -1],
@@ -235,8 +235,8 @@ def triangle_matrices() -> tuple[RatMatrix, RatMatrix, RatMatrix]:
             [0, 0, 0, 0, 0, 0],
             [0, 1, 0, -1, 0, 0],
         ]
-    )
-    p2 = RatMatrix(
+    ),
+    RatMatrix(
         [
             [1, 0, 1, 0, -1, -1],
             [0, 1, 1, 0, -1, -1],
@@ -245,8 +245,13 @@ def triangle_matrices() -> tuple[RatMatrix, RatMatrix, RatMatrix]:
             [0, 0, 1, 0, 0, -1],
             [0, 0, 1, 0, -1, 0],
         ]
-    )
-    return p0, p1, p2
+    ),
+)
+
+
+def triangle_matrices() -> tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """The phase-0, 1 and 2 valuation transitions, one tuple built at import."""
+    return _TRIANGLE_MATRICES
 
 
 def triangle_system() -> TransitionSystem:

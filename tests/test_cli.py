@@ -207,6 +207,16 @@ def test_billiard_orbit_csv(capsys):
     assert loci == ["L", "C", "C", "C", "L", "L", "L"]
 
 
+@pytest.mark.parametrize("start", ["-3/2", "-3:2:0:0"])
+def test_billiard_orbit_negative_start_in_either_spelling(capsys, start):
+    argv = ["billiard", "orbit", "--seed", "7", "--word", "pqr"]
+    joined = run_cli(capsys, *argv, f"--start={start}")
+    two_words = run_cli(capsys, *argv, "--start", start)
+    assert joined[0] == 0
+    assert two_words == joined
+    assert json.loads(joined[1])["inputs"]["start"] == start
+
+
 def test_billiard_check_seed_search(capsys):
     code, obj = run_json(
         capsys, "billiard", "check", "--seed-range", "0..30", "--horizon", "300"

@@ -70,6 +70,17 @@ GOLDEN = [
         0,
         "61af28a5688720ed69a8723b108a39cffbbd0e75862565b8e9c735d2d638f43d",
     ),
+    (
+        "germ pairs --steps 60",
+        0,
+        "47bcde073179027d0f3f358cfbd48f4f8347f0e09a0f8f1c6a7fc6ea2bb76ab8",
+    ),
+    (
+        # a cancelling trait: the partial report names the step and component
+        "germ evolve --steps 5 --order 64 --seed 52",
+        1,
+        "6bd9935a8b6a22a343bc242caafc86bcf21e9d55498b2a72c365076fc25473fd",
+    ),
 ]
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from refdyn.core import MultiPoly
 from refdyn.reflection_maps import (
+    MONOMIAL_SUPPORTS,
     NVARS,
+    QUADRIC_SLOTS,
     AdaptedCubic,
     ProjectiveMap,
-    monomial_supports,
+    monomial_pair,
     random_adapted_cubic,
     random_chart,
     single_reflection_formula,
@@ -86,11 +88,13 @@ def test_adapted_cubic_validation():
 
 
 def test_monomial_supports_membership():
-    m0, m1, m2 = monomial_supports()
+    m0, m1, m2 = MONOMIAL_SUPPORTS
     assert (3, 4) in m0 and (0, 5) in m0
     assert (4, 5) not in m0
     assert (3, 5) in m1 and (1, 4) in m1 and (0, 4) not in m1
     assert (4, 5) in m2 and (2, 3) in m2
+    assert monomial_pair((0, 0, 0, 1, 1, 0)) == (3, 4)
+    assert monomial_pair((2, 0, 0, 0, 0, 0)) == (0, 0)
 
 
 def test_triangle_formulas_single_monomial():
@@ -120,9 +124,10 @@ def test_triangle_formulas_random_charts_valid(seed):
     chart = random_chart(seed)
     maps = triangle_formulas(chart)
     assert all(len(m.components) == NVARS for m in maps)
-    supports = monomial_supports()
-    for support, poly in zip(supports, (chart.q0, chart.q1, chart.q2)):
-        assert support.admits(poly)
+    for support, poly in zip(MONOMIAL_SUPPORTS, (chart.q0, chart.q1, chart.q2)):
+        assert {monomial_pair(e) for e in poly.terms} == set(support)
+    for l, (sigma, slot) in enumerate(zip(maps, QUADRIC_SLOTS)):
+        assert sigma.components[slot] == (chart.q0, chart.q1, chart.q2)[l]
 
 
 def test_triangle_formulas_fix_vertex_plane():
