@@ -3,7 +3,7 @@ cubic hypersurfaces, with certificates instead of floating point."""
 
 from .billiards import build_configuration, check_configuration, return_map
 from .core import AlgebraicReal, MultiPoly, RatMatrix, UniPoly
-from .elliptic import avoidance_check, first_return_word
+from .elliptic import avoidance_check, avoidance_proof, first_return_word
 from .germs import series_evolve, valuation_step, verify_minimal_pairs
 from .picard import degree_tuple_generic, single_reflection_action, two_point_action
 from .transitions import (
@@ -28,6 +28,7 @@ __all__ = [
     "StateVector",
     "TransitionSystem",
     "avoidance_check",
+    "avoidance_proof",
     "build_configuration",
     "check_configuration",
     "check_log_concavity",

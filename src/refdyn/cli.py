@@ -114,15 +114,9 @@ def _cmd_reproduce(args) -> RunReport:
         report.outputs["degree_tuple"] = t.display(digits)
         report.certificates.update(_tuple_certificates(t))
         if n >= 3:
-            horizon = 200 if args.horizon is None else args.horizon
-            orbit_report = elliptic.avoidance_check(n, horizon)
-            report.outputs["orbit_avoidance"] = orbit_report
-            report.certificates["orbit_avoidance_clean"] = not orbit_report["hits"]
-            if n % 2 == 0:
-                report.certificates["even_drift_conclusive"] = all(
-                    c["conclusive"]
-                    for c in orbit_report["certificate"]["starts"].values()
-                )
+            proof = elliptic.avoidance_proof(n)
+            report.outputs["orbit_avoidance"] = proof
+            report.certificates["orbit_avoidance_clean"] = not proof["hits"]
         elif n == 2:
             action = picard.two_point_action()
             cp = char_poly(action.matrix)
@@ -347,18 +341,12 @@ def _cmd_germ(args) -> RunReport:
 
 
 def _cmd_elliptic(args) -> RunReport:
-    n = args.n
-    horizon = 200 if args.horizon is None else args.horizon
-    if n is None:
+    if args.n is None:
         raise ValueError("elliptic check requires --n")
-    orbit_report = elliptic.avoidance_check(n, horizon)
-    report = RunReport("elliptic check", {"n": n, "horizon": horizon})
-    report.outputs["report"] = orbit_report
-    report.certificates["no_hits"] = not orbit_report["hits"]
-    if n % 2 == 0:
-        report.certificates["drift_conclusive"] = all(
-            c["conclusive"] for c in orbit_report["certificate"]["starts"].values()
-        )
+    proof = elliptic.avoidance_proof(args.n)
+    report = RunReport("elliptic check", {"n": args.n})
+    report.outputs["report"] = proof
+    report.certificates["no_hits"] = not proof["hits"]
     return report
 
 
@@ -436,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("target", choices=("general", "conic-line", "triangle"))
     rep.add_argument("--n", type=int, default=None)
     rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--horizon", type=_int_at_least(1), default=None)
     _common_flags(rep)
     rep.set_defaults(func=_cmd_reproduce)
 
@@ -458,10 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(ger)
     ger.set_defaults(func=_cmd_germ)
 
-    ell = sub.add_parser("elliptic", help="formal orbit avoidance checks")
+    ell = sub.add_parser("elliptic", help="formal orbit avoidance, proved for all time")
     ell.add_argument("action", choices=("check",))
     ell.add_argument("--n", type=int, default=None)
-    ell.add_argument("--horizon", type=_int_at_least(1), default=None)
     _common_flags(ell)
     ell.set_defaults(func=_cmd_elliptic)
 

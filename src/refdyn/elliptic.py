@@ -3,14 +3,16 @@
 Reflecting a point y through a point x of a plane elliptic section sends it
 to -x - y for the section's group law.  For symbols p_1..p_N with no
 relations (the regime of points in general position) every orbit element is
-an integer coefficient vector, every equality test is exact, and the two
-statements the general-position degree count rests on become finite
-computations:
-for an odd number of symbols the orbit of p_1 under the cyclic word first
-returns to p_1 exactly at the stated word, meeting no basis point on the
-way, and for an even number the coefficient of p_1 observed after each
-application of the first reflection drifts monotonically 0, -1, -2, ..., so
-no horizon-bounded check ever needs to be extended.
+an integer coefficient vector and every equality test is exact.
+
+The general-position degree count rests on one statement: the orbit of a
+basis point under the cyclic word never reaches p_k just before the
+reflection through p_k.  Every reflection is x -> -x - p_k, so 2N
+consecutive reflections of the word compose to a translation x -> x + t, and
+the orbit is y_s + m*t for 0 <= s < 2N and m >= 0.  Each step is then one
+linear equation in m, solved exactly: `avoidance_proof` proves avoidance for
+all time in one pass of 2N steps.  `avoidance_check` walks the word up to a
+horizon and stays as the reference simulation.
 """
 
 from __future__ import annotations
@@ -147,3 +149,64 @@ def avoidance_check(n: int, horizon: int) -> dict:
             "starts": certificates,
         }
     return {"N": n, "horizon": horizon, "hits": hits, "certificate": certificate}
+
+
+def avoidance_proof(n: int) -> dict:
+    """Prove, for all time, that the cyclic word started at any p_i never
+    meets p_k right before the reflection through p_k.
+
+    From p_1, step s applies p_{k_s}, k_s = 2, ..., n, 1, 2, ...  The steps
+    s < 2n compose to x -> x + t, t = sum_s (-1)^s p_{k_s}: each p_k comes
+    at s and s + n, so t is 0 for odd n and has entries +-2 for even n.  A
+    hit before step s + 2n*m is the equation y_s + m*t = p_{k_s} in m.  The
+    rotation p_j -> p_{j+1} carries the orbit of p_i to that of p_{i+1}, so
+    every start's hits are those of p_1, rotated.  Only positions that can
+    solve it are compared in full: p_k itself (m = 0), or, for m > 0, points
+    whose coordinates j != k with t_j != 0 all equal -m*t_j != 0.  A hit is
+    reported at its first step; when t = 0 it recurs every 2n steps.
+    """
+    if n < 3:
+        raise ValueError("need at least three symbols")
+    period = 2 * n
+    translation = [0] * n
+    for s in range(period):
+        translation[(s + 1) % n] += (-1) ** s
+    support = n - translation.count(0)
+    # the walk of avoidance_check from p_1: the point is sign * v
+    v = [0] * n
+    v[0] = 1
+    sign, nonzero = 1, 1
+    meetings = []
+    for s in range(period):
+        k = (s + 1) % n + 1
+        if nonzero == 1 or (support and nonzero >= support - 1):
+            m = _meeting((sign * c for c in v), translation, k)
+            if m is not None:
+                meetings.append((s + period * m, k))
+        nonzero -= v[k - 1] != 0
+        v[k - 1] += sign
+        nonzero += v[k - 1] != 0
+        sign = -sign
+    hits = [
+        {"start": i, "step": step, "reflection": (k + i - 2) % n + 1}
+        for i in range(1, n + 1)
+        for step, k in sorted(meetings)
+    ]
+    return {"N": n, "period": period, "translation": translation, "hits": hits}
+
+
+def _meeting(y, t, k: int) -> int | None:
+    """The least m >= 0 with y + m*t = p_k, or None: coordinate j reads
+    y_j + m*t_j = [j = k], one linear equation in m."""
+    m = None  # every m solves the equations read so far
+    for j, (yj, tj) in enumerate(zip(y, t)):
+        rest = (j == k - 1) - yj
+        if tj == 0:
+            if rest:
+                return None
+            continue
+        q, r = divmod(rest, tj)
+        if r or q < 0 or m not in (None, q):
+            return None
+        m = q
+    return 0 if m is None else m

@@ -64,8 +64,9 @@ def degree_tuple_generic(n: int) -> tuple[AlgebraicReal, AlgebraicReal, Algebrai
     """Middle degree triple for a composition of n reflections in general
     position: (1, 1, 1) for n <= 2 (finite order / unipotent lattice action),
     (2^n, 2^n, 2^n) for n >= 3 (degree doubling once every indeterminacy
-    contribution is generically avoided; the avoidance side is certified by
-    the formal orbit checks in :mod:`refdyn.elliptic`)."""
+    contribution is generically avoided; that the formal orbits never meet
+    an indeterminacy point is proved for all time by
+    :func:`refdyn.elliptic.avoidance_proof`)."""
     if n < 1:
         raise ValueError("need at least one reflection")
     value = Fraction(1) if n <= 2 else Fraction(2**n)

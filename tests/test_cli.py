@@ -95,7 +95,9 @@ def exit_code(argv):
         "billiard check --seed 7 --precision -1",
         "reproduce triangle --precision -1",
         "billiard check --seed 0 --horizon 0",
-        "elliptic check --n 4 --horizon -1",
+        "elliptic check --n 2",
+        "elliptic check --n 4 --horizon 500",
+        "reproduce general --n 70 --horizon 500",
         "reproduce general --n 7143",
     ],
 )
@@ -144,9 +146,16 @@ def test_transition_growth_reads_a_matrix_file(capsys, tmp_path):
 
 
 def test_reproduce_general_at_the_largest_n_prints_a_report(capsys):
-    assert main(["reproduce", "general", "--n", "7142", "--horizon", "1"]) != 2
+    assert main(["reproduce", "general", "--n", "7142"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["inputs"]["n"] == 7142
+
+
+@pytest.mark.parametrize("n", [68, 70, 80])
+def test_reproduce_general_even_n_avoidance_is_proved(capsys, n):
+    code, obj = run_json(capsys, "reproduce", "general", "--n", str(n))
+    assert code == 0
+    assert obj["certificates"]["orbit_avoidance_clean"] is True
 
 
 def test_undecided_arithmetic_exits_2(capsys, monkeypatch):
@@ -295,11 +304,13 @@ def test_germ_pairs(capsys):
 
 
 def test_elliptic_check(capsys):
-    code, obj = run_json(capsys, "elliptic", "check", "--n", "4", "--horizon", "500")
+    code, obj = run_json(capsys, "elliptic", "check", "--n", "4")
     assert code == 0
-    assert obj["certificates"]["no_hits"] and obj["certificates"]["drift_conclusive"]
-    cert = obj["outputs"]["report"]["certificate"]["starts"]["1"]
-    assert cert["coeffs_after_own_reflection"][:4] == [0, -1, -2, -3]
+    assert obj["inputs"] == {"n": 4}
+    assert obj["certificates"] == {"no_hits": True}
+    assert obj["outputs"]["report"] == {
+        "N": 4, "period": 8, "translation": [-2, 2, -2, 2], "hits": []
+    }
 
 
 def test_transition_growth_csv(capsys):

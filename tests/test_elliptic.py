@@ -5,7 +5,9 @@ import pytest
 from refdyn.elliptic import (
     FormalPoint,
     ReflectionWord,
+    _meeting,
     avoidance_check,
+    avoidance_proof,
     first_return_word,
     orbit,
     reflect,
@@ -135,6 +137,59 @@ def test_avoidance_check_matches_a_walk_on_points(n):
         if n % 2 == 0:
             starts = report["certificate"]["starts"]
             assert {i: c["coeffs_after_own_reflection"] for i, c in starts.items()} == own
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_avoidance_proof_matches_a_walk_on_points(n):
+    proof = avoidance_proof(n)
+    horizon = 6 * n
+    # a hit recurs every period steps exactly when the translation is zero
+    repeats = range(0, horizon, proof["period"]) if not any(proof["translation"]) else [0]
+    expanded = sorted(
+        (hit["start"], hit["step"] + shift, hit["reflection"])
+        for hit in proof["hits"]
+        for shift in repeats
+        if hit["step"] + shift < horizon
+    )
+    hits, _ = _avoidance_by_points(n, horizon)
+    assert expanded == [(h["start"], h["step"], h["reflection"]) for h in hits]
+    word = ReflectionWord(tuple((s + 1) % n + 1 for s in range(2 * n)), n)
+    points = orbit(FormalPoint.basis(1, n), word)
+    assert proof["period"] == 2 * n
+    assert set(proof["translation"]) == ({0} if n % 2 else {-2, 2})
+    assert proof["translation"] == [
+        a - b for a, b in zip(points[-1].coefficients, points[0].coefficients)
+    ]
+
+
+def test_meeting_solves_the_linear_equation_exactly():
+    t = (2, -2, 0)
+    assert _meeting((-6, 6, 1), t, 3) == 3  # (-6, 6, 1) + 3 * t = p_3
+    assert _meeting((-5, 5, 1), t, 3) is None  # m = 5/2
+    assert _meeting((6, -6, 1), t, 3) is None  # m = -3
+    assert _meeting((-6, 4, 1), t, 3) is None  # m = 3 and m = 2
+    assert _meeting((-6, 6, 0), t, 3) is None  # t_3 = 0 but y_3 != 1
+    assert _meeting((0, 0, 1), (0, 0, 0), 3) == 0
+    assert _meeting((0, 1, 0), (0, 0, 0), 3) is None
+
+
+def test_avoidance_proof_rotates_hits_to_every_start(monkeypatch):
+    # no real orbit meets a basis point: feign one on every p_3 step to see
+    # that each start reports the reflection its own walk applies there
+    monkeypatch.setattr("refdyn.elliptic._meeting", lambda y, t, k: 0 if k == 3 else None)
+    n = 6
+    hits = avoidance_proof(n)["hits"]
+    assert hits and {h["start"] for h in hits} == set(range(1, n + 1))
+    for h in hits:
+        # the walk from p_1 applies p_3 at the steps s = 1 mod n; the walk
+        # from p_i applies p_{(i + s) mod n + 1} at step s
+        assert h["step"] % n == 1
+        assert h["reflection"] == (h["start"] + h["step"]) % n + 1
+
+
+def test_avoidance_proof_validation():
+    with pytest.raises(ValueError):
+        avoidance_proof(2)
 
 
 def test_avoidance_check_validation():

@@ -38,7 +38,7 @@ GOLDEN = [
     (
         "reproduce general --n 5",
         0,
-        "5f7e73e74fcc0385d4c5d607c24273755d295acdd7614abbb9b0cbeaed7291b3",
+        "54645a294664590914fcf042f47e2dcd4130a967d629c69b9eeef64f42b6e579",
     ),
     (
         "billiard check --seed-range 0..20",
