@@ -160,10 +160,8 @@ def avoidance_proof(n: int) -> dict:
     at s and s + n, so t is 0 for odd n and has entries +-2 for even n.  A
     hit before step s + 2n*m is the equation y_s + m*t = p_{k_s} in m.  The
     rotation p_j -> p_{j+1} carries the orbit of p_i to that of p_{i+1}, so
-    every start's hits are those of p_1, rotated.  Only positions that can
-    solve it are compared in full: p_k itself (m = 0), or, for m > 0, points
-    whose coordinates j != k with t_j != 0 all equal -m*t_j != 0.  A hit is
-    reported at its first step; when t = 0 it recurs every 2n steps.
+    every start's hits are those of p_1, rotated.  A hit is reported at its
+    first step; when t = 0 it recurs every 2n steps.
     """
     if n < 3:
         raise ValueError("need at least three symbols")
@@ -171,21 +169,17 @@ def avoidance_proof(n: int) -> dict:
     translation = [0] * n
     for s in range(period):
         translation[(s + 1) % n] += (-1) ** s
-    support = n - translation.count(0)
     # the walk of avoidance_check from p_1: the point is sign * v
     v = [0] * n
     v[0] = 1
-    sign, nonzero = 1, 1
+    sign = 1
     meetings = []
     for s in range(period):
         k = (s + 1) % n + 1
-        if nonzero == 1 or (support and nonzero >= support - 1):
-            m = _meeting((sign * c for c in v), translation, k)
-            if m is not None:
-                meetings.append((s + period * m, k))
-        nonzero -= v[k - 1] != 0
+        m = _meeting((sign * c for c in v), translation, k)
+        if m is not None:
+            meetings.append((s + period * m, k))
         v[k - 1] += sign
-        nonzero += v[k - 1] != 0
         sign = -sign
     hits = [
         {"start": i, "step": step, "reflection": (k + i - 2) % n + 1}
