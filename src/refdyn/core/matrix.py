@@ -1,14 +1,16 @@
 """Exact rational matrices, characteristic and minimal polynomials.
 
-The characteristic polynomial is computed by the Faddeev-LeVerrier recursion,
-which only ever divides by integers so every step stays exact; the minimal
-polynomial comes from Krylov sequences (first linear dependence among the
-iterates of each basis vector, read off `field_kernel`; lcm over the basis).
+The characteristic polynomial is computed by the Faddeev-LeVerrier recursion
+on the integer matrix d m, d the lcm of the entry denominators, where every
+trace divides exactly by k; the minimal polynomial comes from Krylov
+sequences (first linear dependence among the iterates of each basis vector,
+read off `field_kernel`; lcm over the basis).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .numberfield import field_kernel
@@ -125,20 +127,28 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> UniPoly:
-    """det(xI - m) by Faddeev-LeVerrier; monic of degree = dimension."""
+    """det(xI - m) by Faddeev-LeVerrier; monic of degree = dimension.
+
+    The recursion runs on the integer matrix M = d m, whose characteristic
+    coefficients c_i(M) are integers; c_i(m) = c_i(M) / d^(n - i).
+    """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = m
-    ident = RatMatrix.identity(n)
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    big = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [row[:] for row in big]
     for k in range(1, n + 1):
         if k > 1:
-            mk = m * (mk + ident.scale(coeffs[n - k + 1]))
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-    return UniPoly(coeffs)
+            for i in range(n):
+                mk[i][i] += coeffs[n - k + 1]
+            cols = list(zip(*mk))
+            mk = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in big]
+        # c_{n-k}(M) is an integer, so k divides the trace exactly
+        coeffs[n - k] = -sum(mk[i][i] for i in range(n)) // k
+    return UniPoly(Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs))
 
 
 def minimal_poly(m: RatMatrix) -> UniPoly:

@@ -7,9 +7,11 @@ of real algebraic numbers that feeds a certificate goes through the exact
 machinery here: interval refinement decides strict inequalities, and an
 exact tie is settled by one Sturm count of the gcd of the defining
 polynomials on the overlap of the two intervals.
-Intervals derived here (bisection halves, isolated roots) carry their
-parent's Sturm chain and are not re-checked: the Sturm count that produced
-them proves that they isolate one root.
+Intervals derived here are not re-checked.  An isolated root's interval is
+proved by the Sturm count that produced it.  A bisection half needs no
+count: the defining polynomial is square-free and has exactly one root in
+its interval and none at the ends, so it changes sign exactly once there,
+and the half whose ends give values of opposite sign holds the root.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Sequence
 
 from .rationals import RationalLike, as_rational, outward_decimals, rat_to_str
 from .unipoly import UniPoly
-
-_MAX_REFINE_ROUNDS = 256
 
 
 def sturm_chain(f: UniPoly) -> list[UniPoly]:
@@ -68,7 +68,7 @@ class AlgebraicReal:
     and the Sturm count of roots in (lo, hi) is exactly one.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_chain")
+    __slots__ = ("poly", "lo", "hi")
 
     def __init__(self, poly: UniPoly, lo: RationalLike, hi: RationalLike):
         lo, hi = as_rational(lo), as_rational(hi)
@@ -88,13 +88,13 @@ class AlgebraicReal:
         self.poly = prim
         self.lo = lo
         self.hi = hi
-        self._chain: list[UniPoly] | None = chain
 
     @classmethod
-    def _certified(cls, poly, lo, hi, chain) -> "AlgebraicReal":
-        """An interval a Sturm count has already proved isolating; checks nothing."""
+    def _certified(cls, poly, lo, hi) -> "AlgebraicReal":
+        """An interval already proved isolating (by a Sturm count or a sign
+        change); checks nothing."""
         self = object.__new__(cls)
-        self.poly, self.lo, self.hi, self._chain = poly, lo, hi, chain
+        self.poly, self.lo, self.hi = poly, lo, hi
         return self
 
     @classmethod
@@ -107,11 +107,6 @@ class AlgebraicReal:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def chain(self) -> list[UniPoly]:
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
 
     def rational_value(self) -> Fraction | None:
         """The root itself when it is rational, else None."""
@@ -147,19 +142,20 @@ class AlgebraicReal:
 
     def _bisect_once(self) -> "AlgebraicReal":
         mid = self.midpoint()
-        chain = self.chain()
-        if self.poly(mid) == 0:
+        at_mid = self.poly(mid)
+        if at_mid == 0:
             # the unique root is mid itself; shrink symmetrically around it,
             # nudging endpoints off the remaining roots of the polynomial
             delta = min(mid - self.lo, self.hi - mid) / 4
             while self.poly(mid - delta) == 0 or self.poly(mid + delta) == 0:
                 delta /= 2
             lo, hi = mid - delta, mid + delta
-        elif sign_variations_at(chain, self.lo) - sign_variations_at(chain, mid) == 1:
+        elif (at_mid > 0) != (self.poly(self.lo) > 0):
+            # the one sign change of poly on (lo, hi) lies in (lo, mid)
             lo, hi = self.lo, mid
         else:
             lo, hi = mid, self.hi
-        return AlgebraicReal._certified(self.poly, lo, hi, chain)
+        return AlgebraicReal._certified(self.poly, lo, hi)
 
     def refined(self, eps: RationalLike) -> "AlgebraicReal":
         """Same root, interval width < eps, by exact bisection."""
@@ -200,7 +196,7 @@ def isolate_real_roots(p: UniPoly) -> list[AlgebraicReal]:
     def split(a: Fraction, va: int, b: Fraction, vb: int) -> None:
         # va, vb: sign variations of the chain at a and b; va - vb roots in (a, b)
         if va - vb == 1:
-            out.append(AlgebraicReal._certified(sf, a, b, chain))
+            out.append(AlgebraicReal._certified(sf, a, b))
         elif va - vb > 1:
             mid = (a + b) / 2
             while sf(mid) == 0:
@@ -235,26 +231,28 @@ def algebraic_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """-1, 0 or 1 comparing the represented roots exactly."""
     if algebraic_equal(a, b):
         return 0
+    # the roots differ, so the intervals separate once both are narrower
+    # than half the distance between them
     x, y = a, b
-    for _ in range(_MAX_REFINE_ROUNDS):
+    while True:
         if x.hi <= y.lo:
             return -1
         if y.hi <= x.lo:
             return 1
         x = x._bisect_once()
         y = y._bisect_once()
-    raise ArithmeticError("comparison did not separate (distinct roots expected)")
 
 
 def cmp_with_rational(a: AlgebraicReal, q: RationalLike) -> int:
     q = as_rational(q)
     if a.contains_rational(q):
         return 0
+    # the root is not q, so q falls outside the interval once it is
+    # narrower than their distance
     x = a
-    for _ in range(_MAX_REFINE_ROUNDS):
+    while True:
         if x.hi <= q:
             return -1
         if q <= x.lo:
             return 1
         x = x._bisect_once()
-    raise ArithmeticError("comparison with rational did not separate")

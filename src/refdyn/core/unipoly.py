@@ -117,11 +117,23 @@ class UniPoly:
         return result
 
     def __call__(self, x: RationalLike) -> Fraction:
+        """Exact value at a rational point, computed in integers.
+
+        With x = p/q and the coefficients written as integers a_i over the
+        lcm D of their denominators, the value is
+        sum_i a_i * p^i * q^(deg - i) / (D * q^deg): one homogeneous Horner
+        pass, normalized once at the end.
+        """
         x = as_rational(x)
-        acc = Fraction(0)
+        if not self.coeffs:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc, qk = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c.numerator * (den // c.denominator) * qk
+            qk *= q
+        return Fraction(acc, den * q**self.degree)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Exact polynomial division with remainder over the rationals."""

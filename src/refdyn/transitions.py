@@ -408,11 +408,12 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
     # mu1 is simple, so adj(mu1 I - m) = c r w^T with c != 0, r and w the right
     # and left eigenvectors: w.v0 != 0 iff adj v0 != 0, r_0 != 0 iff e0^T adj != 0
     if mu_mult == 1:
-        mt = m.transpose()
+        rows = m.to_int_lists()
+        cols = list(zip(*rows))
         right, left = [entries], [tuple(int(i == 0) for i in range(m.rows))]
         for _ in range(m.rows - 1):
-            right.append(m.matvec(right[-1]))
-            left.append(mt.matvec(left[-1]))
+            right.append(tuple(sum(a * b for a, b in zip(r, right[-1])) for r in rows))
+            left.append(tuple(sum(a * b for a, b in zip(c, left[-1])) for c in cols))
         sees_v0 = _adjugate_sees(cp, right, mu_factor)
         sees_first = _adjugate_sees(cp, left, mu_factor)
         hypotheses["v0_sees_dominant_eigenspace"] = sees_v0

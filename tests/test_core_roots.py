@@ -13,7 +13,9 @@ from refdyn.core import (
     count_roots_in,
     isolate_real_roots,
     poly_from_roots,
+    sturm_chain,
 )
+from refdyn.core.roots import sign_variations_at
 
 
 def P(*c):
@@ -143,6 +145,20 @@ def _assert_public_constructor_accepts(r, poly):
     assert (again.poly, again.lo, again.hi) == (r.poly, r.lo, r.hi)
 
 
+def _assert_sturm_picks(parent, child):
+    """The child of a halving is the half that a Sturm count says holds the
+    root; a root exactly at the midpoint keeps the midpoint inside."""
+    mid = parent.midpoint()
+    if parent.poly(mid) == 0:
+        assert child.lo < mid < child.hi
+        assert parent.lo < child.lo and child.hi < parent.hi
+        return
+    chain = sturm_chain(parent.poly)
+    in_low_half = sign_variations_at(chain, parent.lo) - sign_variations_at(chain, mid)
+    expected = (parent.lo, mid) if in_low_half == 1 else (mid, parent.hi)
+    assert (child.lo, child.hi) == expected
+
+
 @pytest.mark.parametrize(
     "f",
     DERIVED_CASES,
@@ -156,8 +172,9 @@ def test_derived_intervals_pass_the_public_constructor(f):
         _assert_public_constructor_accepts(r, poly)
         cur = r
         for _ in range(30):
-            cur = cur._bisect_once()
+            cur, parent = cur._bisect_once(), cur
             _assert_public_constructor_accepts(cur, poly)
+            _assert_sturm_picks(parent, cur)
         _assert_public_constructor_accepts(r.refined(Fraction(1, 10**20)), poly)
 
 
@@ -176,6 +193,7 @@ def test_refinement_builds_one_sturm_chain(monkeypatch):
 
 
 def test_public_constructor_keeps_its_sturm_chain(monkeypatch):
+    # the constructor's check builds the only chain; halvings read one sign
     built = []
     original = refdyn.core.roots.sturm_chain
 
@@ -187,3 +205,30 @@ def test_public_constructor_keeps_its_sturm_chain(monkeypatch):
     fine = AlgebraicReal(P(-2, 0, 1), 1, 2).refined(Fraction(1, 10**30))
     assert fine.width() < Fraction(1, 10**30)
     assert len(built) == 1
+
+
+def _sqrt2_convergent(k):
+    """The k-th continued-fraction convergent p/q of sqrt(2), k >= 1."""
+    p, q = 1, 1
+    for _ in range(k - 1):
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q)
+
+
+def test_cmp_with_rational_separates_a_close_convergent():
+    # |sqrt(2) - p/q| < 1/q^2 with q about 2^252: about 510 halvings
+    sqrt2 = isolate_real_roots(P(-2, 0, 1))[-1]
+    close = _sqrt2_convergent(200)
+    assert close.denominator.bit_length() > 250
+    assert cmp_with_rational(sqrt2, close) == -1
+    assert cmp_with_rational(sqrt2, _sqrt2_convergent(199)) == 1
+
+
+def test_algebraic_cmp_separates_a_close_convergent():
+    sqrt2 = isolate_real_roots(P(-2, 0, 1))[-1]
+    close = _sqrt2_convergent(200)
+    # the root of q x - p, on an interval that also holds sqrt(2)
+    line = AlgebraicReal(P(-close.numerator, close.denominator), 1, 2)
+    assert algebraic_cmp(sqrt2, line) == -1
+    assert algebraic_cmp(line, sqrt2) == 1
+    assert algebraic_cmp(sqrt2, AlgebraicReal.from_rational(close)) == -1

@@ -31,6 +31,17 @@ GOLDEN = [
         "f2f0e3426f8cea5d5197c2ac410f85d012d5dec8b1949f200421fbe5aa7a846d",
     ),
     (
+        # about 670 halvings of one isolating interval
+        "reproduce conic-line --precision 200",
+        0,
+        "d2efa7184ade5a090aabd8ff9ea9c228fe06fa75ea3a250fb2b30371076cbe0b",
+    ),
+    (
+        "reproduce triangle --precision 120 --seed 2",
+        0,
+        "fc7f6c73486d113843cbead4bf037aa02e538889d49c851b9079dc34ab4af7a5",
+    ),
+    (
         "reproduce triangle --seed 1",
         0,
         "f955523dab445d6c9ec764f02564ad5db995d30fcbab2e99ae1eb98bda528b6d",

@@ -2,8 +2,9 @@
 built on it, factorization over Q, real root isolation and exact comparison
 of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
 `dominant_growth` against numpy's floating-point roots and eigenvectors.
-`MultiPoly.__call__` against term-by-term Fraction evaluation, and
-`reflect_on_line` against the tangent-plane substitution it replaced.
+`MultiPoly.__call__` against term-by-term Fraction evaluation,
+`UniPoly.__call__` against a Fraction Horner pass, and `reflect_on_line`
+against the tangent-plane substitution it replaced.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy or
 numpy.
@@ -88,19 +89,37 @@ def _conjugate_unimodular(rng, m):
         for row in u_inv:
             row[j] -= k * row[i]
     um = RatMatrix(u) * RatMatrix(m) * RatMatrix(u_inv)
-    return um.to_int_lists()
+    return [list(row) for row in um.entries]
+
+
+def _entry(rng, bound, rational):
+    """A random entry in [-bound, bound], over 2, 3 or 7 when `rational`."""
+    if not rational:
+        return rng.randint(-bound, bound)
+    den = rng.choice((2, 3, 7))
+    return Fraction(rng.randint(-bound * den, bound * den), den)
 
 
 def _matrices(rng):
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        yield [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    for _ in range(15):
-        # derogatory: a repeated block next to a scalar block
-        k = rng.randint(1, 2)
-        block = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
-        c = rng.randint(-2, 2)
-        yield _conjugate_unimodular(rng, _block_diagonal([block, block, [[c]]]))
+    for rational in (False, True):
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            yield [[_entry(rng, 3, rational) for _ in range(n)] for _ in range(n)]
+        for _ in range(15):
+            # derogatory: a repeated block next to a scalar block
+            k = rng.randint(1, 2)
+            block = [[_entry(rng, 2, rational) for _ in range(k)] for _ in range(k)]
+            c = _entry(rng, 2, rational)
+            yield _conjugate_unimodular(rng, _block_diagonal([block, block, [[c]]]))
+    yield [[0]]
+    yield [[Fraction(-5, 7)]]
+    for n in (2, 4):
+        yield [[0] * n for _ in range(n)]
+
+
+def _from_sympy(coeffs):
+    """sympy Rationals, high to low, as Fractions low to high."""
+    return tuple(Fraction(str(c)) for c in reversed(coeffs))
 
 
 def test_minimal_poly_is_the_least_annihilator():
@@ -110,14 +129,13 @@ def test_minimal_poly_is_the_least_annihilator():
         m = RatMatrix(entries)
         mp = minimal_poly(m)
         cp = char_poly(m)
-        assert cp.coeffs == tuple(
-            Fraction(int(c)) for c in reversed(sympy.Matrix(entries).charpoly(x).all_coeffs())
-        )
+        oracle = sympy.Matrix([[_rat(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+        assert cp.coeffs == _from_sympy(oracle.charpoly(x).all_coeffs())
         assert _evaluate(mp, m) == RatMatrix.zero(m.rows, m.cols)
         assert (cp % mp).is_zero()
-        _, factors = sympy.factor_list(sympy.Poly([int(c) for c in reversed(mp.coeffs)], x))
+        _, factors = sympy.factor_list(sympy.Poly([_rat(c) for c in reversed(mp.coeffs)], x))
         for f, _ in factors:
-            divisor = UniPoly(int(c) for c in reversed(f.all_coeffs()))
+            divisor = UniPoly(_from_sympy(f.all_coeffs()))
             proper = mp.divmod(divisor)[0]
             assert _evaluate(proper, m) != RatMatrix.zero(m.rows, m.cols)
 
@@ -340,6 +358,40 @@ def test_multipoly_call_matches_plain_fraction_evaluation():
             assert poly(point) == value
     assert MultiPoly.zero(3)((1, 2, 3)) == 0
     assert MultiPoly.constant(2, Fraction(-5, 3))((0, Fraction(1, 10**50))) == Fraction(-5, 3)
+
+
+def _horner_value(p: UniPoly, x) -> Fraction:
+    """Horner's rule in Fractions: every step reduced."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_unipoly_call_matches_fraction_horner():
+    rng = random.Random(53)
+    for case in range(300):
+        degree = rng.randint(0, 9)
+        coeffs = [
+            Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 7, 10**9 + 7, 10**25 + 13)))
+            for _ in range(degree + 1)
+        ]
+        if case % 10 == 0:
+            coeffs = []  # the zero polynomial
+        elif case % 10 == 1:
+            coeffs = coeffs[:1]  # a constant
+        p = UniPoly(coeffs)
+        for _ in range(4):
+            x = _random_coordinate(rng)
+            value = p(x)
+            assert isinstance(value, Fraction)
+            assert value == _horner_value(p, x), (p, x)
+            # the same point as an "a/b" string
+            assert p(str(Fraction(x))) == value
+    assert UniPoly.zero()(Fraction(-3, 10**40)) == 0
+    assert UniPoly.constant(Fraction(-5, 3))(Fraction(1, 10**50)) == Fraction(-5, 3)
+    assert UniPoly((1, 0, -2))("-7/3") == Fraction(-89, 9)
 
 
 def _reflect_on_line_by_substitution(cfg, x):
