@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -236,6 +237,107 @@ def test_reflect_on_line_swaps_intersection_points(cfg):
     # so the tangent construction exchanges them
     assert reflect_on_line(cfg, cfg.a) == cfg.b
     assert reflect_on_line(cfg, cfg.b) == cfg.a
+
+
+def _partials_on_line(cfg):
+    """P and R: dF/dx2 and dF/dx3 on L, as the coefficients (c0, c1, c2) of
+    c0*u^2 + c1*u*v + c2*v^2 in the span coordinates, by substitution."""
+    s0, s1 = cfg.line_span
+    u, v = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    line = [u.scale(x) + v.scale(y) for x, y in zip(s0.coords, s1.coords)]
+    out = []
+    for k in (2, 3):
+        binary = cfg.surface.form.derivative(k).substitute(line)
+        out.append(tuple(binary.terms.get(e, Fraction(0)) for e in ((2, 0), (1, 1), (0, 2))))
+    return out
+
+
+def _involution(cfg):
+    (p0, p1, p2), (r0, r1, r2) = _partials_on_line(cfg)
+    return (
+        (p0 * r2 - p2 * r0, p1 * r2 - p2 * r1),
+        (p1 * r0 - p0 * r1, p2 * r0 - p0 * r2),
+    )
+
+
+def _resultant(cfg):
+    """Res(P, R) of the two binary quadratics, written out (sympy's
+    univariate resultant drops a degree when a leading coefficient is 0)."""
+    (p0, p1, p2), (r0, r1, r2) = _partials_on_line(cfg)
+    return (p0 * r2 - p2 * r0) ** 2 - (p0 * r1 - p1 * r0) * (p1 * r2 - p2 * r1)
+
+
+def _apply_involution(cfg, iota, pt):
+    u, v = cfg.line_parameter(pt)
+    return cfg.point_from_parameter(
+        iota[0][0] * u + iota[0][1] * v, iota[1][0] * u + iota[1][1] * v
+    )
+
+
+def test_reflect_on_line_is_one_involution_per_configuration():
+    rng = random.Random(13)
+    for seed in range(41):
+        built = build_configuration(seed)
+        k = rng.choice((-3, -2, 2, 3))
+        tilted = dataclasses.replace(
+            built, line_span=(RationalPoint((1, k, 0, 0)), RationalPoint((1, -k - 1, 0, 0)))
+        )
+        for cfg in (built, tilted):
+            (a, b), (c, d) = iota = _involution(cfg)
+            det = a * d - b * c
+            assert a + d == 0
+            assert det == -_resultant(cfg) != 0
+            assert [[a * a + b * c, a * b + b * d], [c * a + d * c, c * b + d * d]] == [
+                [-det, 0],
+                [0, -det],
+            ]
+            assert _apply_involution(cfg, iota, cfg.a) == cfg.b
+            assert _apply_involution(cfg, iota, cfg.b) == cfg.a
+            points = [cfg.p, cfg.q, cfg.a, cfg.b]
+            points += [cfg.point_from_parameter(1, rng.randint(-30, 30)) for _ in range(4)]
+            for x in points:
+                assert reflect_on_line(cfg, x) == _apply_involution(cfg, iota, x)
+
+
+def _with_quadric(cfg, quad):
+    """The configuration on the surface x2*c + x3*quad."""
+    x2, x3 = MultiPoly.variable(2, 4), MultiPoly.variable(3, 4)
+    return dataclasses.replace(cfg, surface=CubicHypersurface(x2 * cfg.conic_form + x3 * quad))
+
+
+def test_reflect_on_line_with_parallel_partials(cfg):
+    # Q = c + x3*x0 restricts to c on L, so P and R are parallel and iota = 0
+    x0, x3 = MultiPoly.variable(0, 4), MultiPoly.variable(3, 4)
+    degenerate = _with_quadric(cfg, cfg.conic_form + x3 * x0)
+    assert _involution(degenerate) == ((0, 0), (0, 0))
+    for t in range(-6, 7):
+        x = degenerate.point_from_parameter(1, t)
+        if x in (degenerate.a, degenerate.b):
+            continue
+        with pytest.raises(
+            IndeterminacyError, match=r"^residual conic contains L \(degenerate tangency\)$"
+        ):
+            reflect_on_line(degenerate, x)
+    for x in (degenerate.a, degenerate.b):
+        with pytest.raises(IndeterminacyError, match="^surface is singular at the point$"):
+            reflect_on_line(degenerate, x)
+
+
+def test_reflect_on_line_with_a_rank_one_involution(cfg):
+    # Q = l*x1 with l vanishing at a: P and R share the root a, so iota has
+    # rank 1, the surface is singular at a, and every other point maps to a
+    a0, a1 = cfg.a.coords[:2]
+    x0, x1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
+    degenerate = _with_quadric(cfg, (x0.scale(a1) - x1.scale(a0)) * x1)
+    (a, b), (c, d) = _involution(degenerate)
+    assert a * d - b * c == 0 and any((a, b, c, d))
+    with pytest.raises(IndeterminacyError, match="^surface is singular at the point$"):
+        reflect_on_line(degenerate, degenerate.a)
+    others = [degenerate.b, degenerate.p, degenerate.q]
+    others += [degenerate.point_from_parameter(t, 1) for t in range(-6, 7)]
+    for x in others:
+        if x != degenerate.a:
+            assert reflect_on_line(degenerate, x) == degenerate.a
 
 
 def test_reflect_on_line_rejects_off_line_points(cfg):

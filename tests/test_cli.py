@@ -99,6 +99,7 @@ def exit_code(argv):
         "elliptic check --n 4 --horizon 500",
         "reproduce general --n 70 --horizon 500",
         "reproduce general --n 7143",
+        "billiard orbit --seed 77 --start=5/1 --word ppqqrr",
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -77,6 +77,24 @@ GOLDEN = [
         "3144fc14e41025f04927d299fc3fb06201723ab38d2161d83996640187b82f2d",
     ),
     (
+        # a start whose backward orbit collides with a forbidden point
+        "billiard check --seed 2",
+        1,
+        "586cae116e03bf71549de0639d1dc5903fd6a80b9689ec5863da584c6f99a84b",
+    ),
+    (
+        # the return map has no attractor
+        "billiard check --seed 42",
+        1,
+        "ba87aee01b479d217e935309b7638775353198b8a3fac8bc9b07803965398f9a",
+    ),
+    (
+        # reflections through p and q on L, applied again and again
+        "billiard orbit --seed 7 --start=-3/2 --word ppqqpq --format csv",
+        0,
+        "18f05a4b63bad567f0f37e87190ab7754eab45c28a6e615335e9330356004440",
+    ),
+    (
         "germ evolve --steps 120 --order 32 --seed 4 --format csv",
         0,
         "61af28a5688720ed69a8723b108a39cffbbd0e75862565b8e9c735d2d638f43d",
