@@ -11,8 +11,9 @@ geometric step is exact:
 * `reflect_on_line` handles the degenerate case of reflecting a point of L
   through a point of L (the joining line lies on the surface): the tangent
   plane section splits off a residual conic whose second intersection with
-  L is the image.  The construction does not depend on which point of L is
-  the reflection center.
+  L is the image.  With P and R the partials dF/dx2 and dF/dx3 restricted
+  to L, that image is one Mobius involution of L, which `Configuration`
+  builds once from P and R; it does not depend on the reflection center.
 * `return_map` composes a reflection word on probe points of L, fits the
   induced projective-line map from three probes and certifies it exactly on
   the rest; `attractor_analysis` reads off the exact eigenvalue ratio.
@@ -169,6 +170,10 @@ class Configuration:
     a: RationalPoint
     b: RationalPoint
     seed: int = -1
+    # (i, j, det): the first nonzero 2x2 minor of line_span
+    _minor: tuple[int, int, Fraction] = field(init=False, repr=False, compare=False)
+    # the involution of L as a 2x2 matrix in row order (see reflect_on_line)
+    _involution: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f = self.surface.form
@@ -198,6 +203,17 @@ class Configuration:
                 raise ValueError(f"point {name} coincides with an intersection point")
         if self.a == self.b:
             raise ValueError("the line must meet the conic in two distinct points")
+        s0, s1 = s0.coords, s1.coords
+        pairs = ((i, j) for i in range(NV) for j in range(i + 1, NV))
+        minors = ((i, j, s0[i] * s1[j] - s0[j] * s1[i]) for i, j in pairs)
+        object.__setattr__(self, "_minor", next(m for m in minors if m[2]))
+        # P, R as binary quadratics c0 u^2 + c1 uv + c2 v^2, read at s0, s1, s0 + s1
+        mid = tuple(x + y for x, y in zip(s0, s1))
+        (p0, p1, p2), (r0, r1, r2) = (
+            (d(s0), d(mid) - d(s0) - d(s1), d(s1)) for d in self.surface._gradient[2:]
+        )
+        iota = (p0 * r2 - p2 * r0, p1 * r2 - p2 * r1, p1 * r0 - p0 * r1, p2 * r0 - p0 * r2)
+        object.__setattr__(self, "_involution", iota)
 
     def on_plane(self, pt: RationalPoint) -> bool:
         return self.plane_form(pt.coords) == 0
@@ -215,21 +231,15 @@ class Configuration:
 
     def line_parameter(self, pt: RationalPoint) -> tuple[Fraction, Fraction]:
         """Coordinates (u, v) with pt = u*s0 + v*s1 on the spanning points."""
-        s0, s1 = self.line_span
-        # pick two coordinate positions with an invertible 2x2 minor
-        for i in range(NV):
-            for j in range(i + 1, NV):
-                det = s0.coords[i] * s1.coords[j] - s0.coords[j] * s1.coords[i]
-                if det:
-                    u = (pt.coords[i] * s1.coords[j] - pt.coords[j] * s1.coords[i]) / det
-                    v = (s0.coords[i] * pt.coords[j] - s0.coords[j] * pt.coords[i]) / det
-                    check = tuple(
-                        u * x + v * y for x, y in zip(s0.coords, s1.coords)
-                    )
-                    if RationalPoint(check) != pt:
-                        raise ValueError("point is not on the line")
-                    return u, v
-        raise AssertionError("degenerate line span")
+        s0, s1 = (s.coords for s in self.line_span)
+        i, j, det = self._minor
+        x = pt.coords
+        u = (x[i] * s1[j] - x[j] * s1[i]) / det
+        v = (s0[i] * x[j] - s0[j] * x[i]) / det
+        # solved on two coordinates, so a point of L is matched exactly
+        if tuple(u * a + v * b for a, b in zip(s0, s1)) != x:
+            raise ValueError("point is not on the line")
+        return u, v
 
     def point_from_parameter(self, u, v) -> RationalPoint:
         u, v = as_rational(u), as_rational(v)
@@ -402,49 +412,32 @@ def reflect_on_line(cfg: Configuration, x: RationalPoint) -> RationalPoint:
     not depend on the reflection center, and exchanges the two intersection
     points of L with the conic C.
 
-    With w the tangent direction off L, F(u*s0 + v*s1 + t*w) vanishes at
-    t = 0, so the residual conic restricted to L is its t-coefficient
-    grad F(u*s0 + v*s1) . w, a binary quadratic read at s0, s1 and s0 + s1.
+    Let P = (p0, p1, p2) and R = (r0, r1, r2) be dF/dx2 and dF/dx3 on L as
+    binary quadratics in the span coordinates (u, v).  The tangent plane at
+    x is spanned by L and w = (0, 0, -R(x), P(x)); for y on L,
+    F(y + t*w) = t*(P(x)*R(y) - R(x)*P(y)) + O(t^2), so the residual conic
+    cuts L where that quadratic in y vanishes.  Being antisymmetric in x
+    and y, it is (x cross y) times a symmetric bilinear form, and its second
+    root is y = iota*x for the matrix fixed by the configuration
+
+        iota = [[p0*r2 - p2*r0, p1*r2 - p2*r1], [p1*r0 - p0*r1, p2*r0 - p0*r2]]
+
+    with trace 0 and det iota = -Res(P, R), so iota^2 is scalar.  iota*x = 0
+    only when P(x) = R(x) = 0 or P and R are parallel (iota = 0); the
+    gradient at x then tells the failures apart.
     """
     if not cfg.on_line(x):
         raise ValueError("the point must lie on L")
-    surface = cfg.surface
-    grad = surface.gradient_at(x)
-    if all(g == 0 for g in grad):
-        raise IndeterminacyError("surface is singular at the point")
-    # tangent plane basis: the span of L plus one more solution of grad.v = 0
-    if grad[2] == 0 and grad[3] == 0:
-        raise IndeterminacyError("tangent plane is spanned by L directions only")
-    d2, d3 = surface._gradient[2:]
-    s0, s1 = (s.coords for s in cfg.line_span)
-
-    def along_w(pt: tuple[Fraction, ...]) -> Fraction:
-        # grad F(pt) . w with w = (0, 0, -grad[3], grad[2]); pt is a raw
-        # coordinate tuple, not a normalized RationalPoint
-        return d3(pt) * grad[2] - d2(pt) * grad[3]
-
-    # binary(u, v) = A u^2 + B uv + C v^2 with a root at x's parameter
-    big_a = along_w(s0)
-    big_c = along_w(s1)
-    big_b = along_w(tuple(a + b for a, b in zip(s0, s1))) - big_a - big_c
-    u0, v0 = cfg.line_parameter(x)
-    if big_a * u0 * u0 + big_b * u0 * v0 + big_c * v0 * v0 != 0:
-        raise AssertionError("residual conic does not pass through the point")
-    if big_a == 0 and big_b == 0 and big_c == 0:
+    u, v = cfg.line_parameter(x)
+    i00, i01, i10, i11 = cfg._involution
+    image = (i00 * u + i01 * v, i10 * u + i11 * v)
+    if image != (0, 0):
+        return cfg.point_from_parameter(*image)
+    if any(d(x.coords) for d in cfg.surface._gradient[2:]):
         raise IndeterminacyError("residual conic contains L (degenerate tangency)")
-    # divide the binary quadratic by (v0*u - u0*v) exactly
-    if v0 != 0:
-        m0 = big_a / v0
-        m1 = (big_b + m0 * u0) / v0
-    else:
-        m0 = -big_b / u0
-        m1 = -big_c / u0
-    if m0 == 0 and m1 == 0:
-        raise IndeterminacyError("residual restriction vanished on L")
-    out = cfg.point_from_parameter(m1, -m0)
-    if not cfg.on_line(out):
-        raise AssertionError("line reflection left L")
-    return out
+    if all(g == 0 for g in cfg.surface.gradient_at(x)):
+        raise IndeterminacyError("surface is singular at the point")
+    raise IndeterminacyError("tangent plane is spanned by L directions only")
 
 
 def apply_reflection(cfg: Configuration, name: str, x: RationalPoint) -> RationalPoint:
@@ -675,12 +668,11 @@ def bad_points(cfg: Configuration) -> BadPointSet:
 
 
 def _chart_value(
-    cfg: Configuration, origin: RationalPoint, infinity: RationalPoint, pt: RationalPoint
+    cfg: Configuration, ends: tuple[tuple[Fraction, Fraction], ...], pt: RationalPoint
 ) -> Fraction | None:
-    """Affine coordinate on L sending origin to 0 and infinity to infinity;
-    None when pt is the infinity point."""
-    ou, ov = cfg.line_parameter(origin)
-    iu, iv = cfg.line_parameter(infinity)
+    """Affine coordinate on L sending the parameters ends[0] to 0 and
+    ends[1] to infinity; None when pt is the infinity point."""
+    (ou, ov), (iu, iv) = ends
     u, v = cfg.line_parameter(pt)
     num = u * ov - v * ou
     den = u * iv - v * iu
@@ -714,14 +706,12 @@ def check_configuration(
     if not analysis["distinct_moduli"]:
         report["status"] = "no-attractor"
         return report
-    origin, infinity = (
-        (cfg.b, cfg.a) if analysis["attractor"] == "b" else (cfg.a, cfg.b)
-    )
+    ends = (b_par, a_par) if analysis["attractor"] == "b" else (a_par, b_par)
     bads = bad_points(cfg)
     report["bad_points"] = bads.to_obj()
     radii = []
     for pt in bads.points:
-        z = _chart_value(cfg, origin, infinity, pt)
+        z = _chart_value(cfg, ends, pt)
         if z is None:
             raise IndeterminacyError("a bad point sits at the chart infinity")
         if z == 0:
@@ -757,7 +747,7 @@ def check_configuration(
                 entry["at_position"] = k
                 break
             if k % 3 == 0 and cfg.on_line(cur):
-                z = _chart_value(cfg, origin, infinity, cur)
+                z = _chart_value(cfg, ends, cur)
                 if z is not None and abs(z) < safe_radius:
                     entry["status"] = "safe"
                     entry["k0"] = k

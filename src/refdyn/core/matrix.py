@@ -104,14 +104,6 @@ class RatMatrix:
         vv = [as_rational(x) for x in v]
         return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.entries)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries)))
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 

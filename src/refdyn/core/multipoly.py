@@ -243,17 +243,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def divide_by_variable(self, i: int) -> "MultiPoly":
-        """Exact division by the variable x_i; raises if any term lacks it."""
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
-                raise ValueError(f"term {exps} is not divisible by variable {i}")
-            ne = list(exps)
-            ne[i] -= 1
-            out[tuple(ne)] = c
-        return MultiPoly(self.nvars, out)
-
     def set_variable(self, i: int, value: RationalLike) -> "MultiPoly":
         """Substitute a constant for one variable (keeping the arity)."""
         value = as_rational(value)

@@ -340,6 +340,34 @@ def test_reflect_on_line_with_a_rank_one_involution(cfg):
             assert reflect_on_line(degenerate, x) == degenerate.a
 
 
+def test_line_parameter_off_the_first_minor(cfg):
+    # swapping x0 and x2 moves L to x0 = x3 = 0, where the (0, 1) minor of
+    # the span vanishes and the parameters come from the (1, 2) minor
+    x = [MultiPoly.variable(i, 4) for i in range(4)]
+    perm = [x[2], x[1], x[0], x[3]]
+
+    def swap(pt):
+        c = pt.coords
+        return RationalPoint((c[2], c[1], c[0], c[3]))
+
+    swapped = Configuration(
+        surface=CubicHypersurface(cfg.surface.form.substitute(perm)),
+        plane_form=cfg.plane_form.substitute(perm),
+        line_form=cfg.line_form.substitute(perm),
+        conic_form=cfg.conic_form.substitute(perm),
+        line_span=tuple(swap(s) for s in cfg.line_span),
+        **{name: swap(getattr(cfg, name)) for name in "pqrab"},
+    )
+    s0, s1 = swapped.line_span
+    for u, v in ((1, 0), (0, 1), (3, -2), (Fraction(1, 3), 5)):
+        pt = swapped.point_from_parameter(u, v)
+        pu, pv = swapped.line_parameter(pt)
+        assert pu * v == pv * u
+        assert tuple(pu * a + pv * b for a, b in zip(s0.coords, s1.coords)) == pt.coords
+    with pytest.raises(ValueError, match="^point is not on the line$"):
+        swapped.line_parameter(swapped.r)
+
+
 def test_reflect_on_line_rejects_off_line_points(cfg):
     with pytest.raises(ValueError):
         reflect_on_line(cfg, cfg.r)

@@ -51,9 +51,7 @@ def test_matrix_ops():
     a = RatMatrix([[1, 2], [3, 4]])
     assert a * RatMatrix.identity(2) == a
     assert a.matvec((1, 0)) == (Fraction(1), Fraction(3))
-    assert a.transpose().entries[0] == (Fraction(1), Fraction(3))
     assert (a**0) == RatMatrix.identity(2)
-    assert a.trace() == 5
     with pytest.raises(ValueError):
         RatMatrix([[1], [2, 3]])
     with pytest.raises(ValueError):

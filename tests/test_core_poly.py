@@ -156,13 +156,10 @@ def test_multipoly_homogeneity_and_vars():
     assert not f.uses_only_vars([0, 1])
 
 
-def test_multipoly_divide_and_set_variable():
+def test_multipoly_set_variable():
     x0 = MultiPoly.variable(0, 2)
     x1 = MultiPoly.variable(1, 2)
     f = x0 * x1 + x1 * x1
-    assert f.divide_by_variable(1) == x0 + x1
-    with pytest.raises(ValueError):
-        (x0 + x1).divide_by_variable(0)
     assert f.set_variable(1, 0).is_zero()
 
 

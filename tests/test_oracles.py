@@ -396,8 +396,8 @@ def test_unipoly_call_matches_fraction_horner():
 
 def _reflect_on_line_by_substitution(cfg, x):
     """The tangent-plane construction written out: restrict F to the plane
-    spanned by L and w, divide by the equation of L and read the residual
-    binary quadratic on L."""
+    spanned by L and w, which vanishes on L (t2 = 0), and read the residual
+    binary quadratic on L as its t2-derivative at t2 = 0."""
     grad = cfg.surface.gradient_at(x)
     w = (Fraction(0), Fraction(0), -grad[3], grad[2])
     s0, s1 = cfg.line_span
@@ -405,7 +405,9 @@ def _reflect_on_line_by_substitution(cfg, x):
     plane = [
         t0.scale(s0.coords[i]) + t1.scale(s1.coords[i]) + t2.scale(w[i]) for i in range(4)
     ]
-    binary = cfg.surface.form.substitute(plane).divide_by_variable(2).set_variable(2, 0)
+    restricted = cfg.surface.form.substitute(plane)
+    assert restricted.set_variable(2, 0).is_zero()
+    binary = restricted.derivative(2).set_variable(2, 0)
     big_a = binary((1, 0, 0))
     big_c = binary((0, 1, 0))
     big_b = binary((1, 1, 0)) - big_a - big_c
