@@ -100,6 +100,7 @@ def exit_code(argv):
         "reproduce general --n 70 --horizon 500",
         "reproduce general --n 7143",
         "billiard orbit --seed 77 --start=5/1 --word ppqqrr",
+        "billiard orbit --seed 3 --start 1:1:1:1 --word rqp",
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -107,6 +108,9 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+    if "1:1:1:1" in argv:
+        # a start off the cubic, refused by the first reflection
+        assert "both points must lie on the hypersurface" in captured.err
 
 
 @pytest.mark.parametrize(

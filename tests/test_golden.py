@@ -95,6 +95,24 @@ GOLDEN = [
         "18f05a4b63bad567f0f37e87190ab7754eab45c28a6e615335e9330356004440",
     ),
     (
+        # a long return-word orbit, as the benchmark runs them
+        "billiard orbit --seed 64 --start=-347/512 --word " + "rqprqp" * 8 + " --format csv",
+        0,
+        "3bbf2920da2a503c315fee2c39bf7bd414a8cec95ab1dc787bc6d00cf16f9ba4",
+    ),
+    (
+        # the search certifies on its third attempt
+        "billiard check --seed-range 81..88",
+        0,
+        "8f87018142279d5eabb30ea24c1c2ba02d21fdaac68e7d1b39b9ec8973db7d60",
+    ),
+    (
+        # the search certifies on its second attempt
+        "billiard check --seed-range 23..30",
+        0,
+        "b4ecfd85d74508669a745937c9f74f57f57abc17bf9843108e479c56a796dd94",
+    ),
+    (
         "germ evolve --steps 120 --order 32 --seed 4 --format csv",
         0,
         "61af28a5688720ed69a8723b108a39cffbbd0e75862565b8e9c735d2d638f43d",
