@@ -5,9 +5,10 @@ splits as a line L (cut by x2) and a conic C, with marked rational points
 p, q on L, r on C and the two intersection points a, b of L and C.  Every
 geometric step is exact:
 
-* `third_intersection` reflects a surface point through another by writing
-  the restriction of the cubic to the joining line as a binary cubic and
-  reading off the third root by Vieta.
+* `third_intersection` reflects a surface point through another by reading
+  the cubic on the joining line: with both points on the cubic, the end
+  coefficients of F(y + t*p) vanish and the middle two give the third root.
+  Every form is read on a line one way, by `_restriction`.
 * `reflect_on_line` handles the degenerate case of reflecting a point of L
   through a point of L (the joining line lies on the surface): the tangent
   plane section splits off a residual conic whose second intersection with
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    MultiPoly, RatMatrix, as_rational, field_kernel, outward_decimals, rat_to_str
+    MultiPoly, RatMatrix, as_rational, char_poly, field_kernel, outward_decimals, rat_to_str
 )
 
 NV = 4  # ambient P^3
@@ -91,37 +92,45 @@ class CubicHypersurface:
         return tuple(g(pt.coords) for g in self._gradient)
 
 
+def _restriction(f: MultiPoly, k: int, y: Sequence, d: Sequence) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_k of f(y + t*d) for a form f of degree k = 2 or 3.
+
+    The ends are c_0 = f(y) and c_k = f(d), and f(y + d) is the sum of all
+    coefficients.  A cubic also needs f(y - d), the alternating sum: half the
+    sum and difference of the two split off the even part c_0 + c_2 and the
+    odd part c_1 + c_3.  The caller passes k, because a zero form (a partial
+    that vanishes) has no degree of its own.
+    """
+    base, top = f(y), f(d)
+    plus = f(tuple(a + b for a, b in zip(y, d)))
+    if k == 2:
+        return base, plus - base - top, top
+    minus = f(tuple(a - b for a, b in zip(y, d)))
+    even, odd = (plus + minus) / 2, (plus - minus) / 2
+    return base, odd - top, even - base, top
+
+
 def third_intersection(
     x: CubicHypersurface, p: RationalPoint, y: RationalPoint
 ) -> RationalPoint:
     """Third point of the line through p and y on the cubic.
 
-    With both points on the cubic, F(u*y + t*p) = u*t*(alpha*u + beta*t);
-    the third root is beta*y - alpha*p.  A tangency at y (alpha = 0) returns
-    y itself; alpha = beta = 0 means the whole line lies on the cubic.
+    Write F(y + t*p) = c0 + c1*t + c2*t^2 + c3*t^3.  The ends c0 = F(y) and
+    c3 = F(p) vanish exactly when both points lie on the cubic, and then
+    F(y + t*p) = t*(c1 + c2*t): the third root is t = -c1/c2, the point
+    c2*y - c1*p, on the cubic by construction.  That point is never zero,
+    because two distinct normalized points are independent.  A tangency at
+    y (c1 = 0) returns y itself; c1 = c2 = 0 means the whole line lies on
+    the cubic.
     """
     if p == y:
         raise IndeterminacyError("reflection point equals the moving point")
-    if not x.contains(p) or not x.contains(y):
+    c0, c1, c2, c3 = _restriction(x.form, 3, y.coords, p.coords)
+    if c0 or c3:
         raise ValueError("both points must lie on the hypersurface")
-    f = x.form
-
-    def ev(u: int, t: int) -> Fraction:
-        return f(tuple(u * yi + t * pi for yi, pi in zip(y.coords, p.coords)))
-
-    v11 = ev(1, 1)
-    v21 = ev(2, 1)
-    alpha = (v21 - 2 * v11) / 2
-    beta = v11 - alpha
-    if alpha == 0 and beta == 0:
+    if c1 == 0 and c2 == 0:
         raise IndeterminacyError("the joining line lies on the cubic")
-    z = tuple(beta * yi - alpha * pi for yi, pi in zip(y.coords, p.coords))
-    if all(c == 0 for c in z):
-        raise IndeterminacyError("degenerate third intersection")
-    out = RationalPoint(z)
-    if not x.contains(out):
-        raise AssertionError("third intersection left the hypersurface")
-    return out
+    return RationalPoint(tuple(c2 * yi - c1 * pi for yi, pi in zip(y.coords, p.coords)))
 
 
 def tangent_third_point(
@@ -129,27 +138,23 @@ def tangent_third_point(
 ) -> RationalPoint:
     """Third intersection of a tangent line at p: the line p + t*d for a
     tangent direction d meets the cubic doubly at p and once more at a
-    rational point.  Useful for generating rational surface points."""
+    rational point.  Useful for generating rational surface points.
+
+    Write F(p + t*d) = c0 + c1*t + c2*t^2 + c3*t^3: p lies on the cubic
+    when c0 = 0, and d is tangent there when c1 = grad F(p).d = 0.  Then
+    F(p + t*d) = t^2*(c2 + c3*t), and the third point is c3*p - c2*d.
+    """
     d = tuple(as_rational(c) for c in direction)
-    grad = x.gradient_at(p)
-    if sum(g * di for g, di in zip(grad, d)) != 0:
+    c0, c1, c2, c3 = _restriction(x.form, 3, p.coords, d)
+    if c0:
+        raise ValueError("the base point must lie on the cubic")
+    if c1:
         raise ValueError("direction is not tangent at the base point")
-    f = x.form
-    # F(p + t d) = c2 t^2 + c3 t^3 with c3 = F(d)
-    c3 = f(d)
-    ev1 = f(tuple(pi + di for pi, di in zip(p.coords, d)))
-    ev2 = f(tuple(pi + 2 * di for pi, di in zip(p.coords, d)))
-    # ev1 = c2 + c3, ev2 = 4 c2 + 8 c3
-    c2 = (ev2 - 8 * ev1) / (-4)
     if c3 == 0:
         raise IndeterminacyError("tangent direction lies on the cubic")
     if c2 == 0:
         raise IndeterminacyError("triple contact: the third point is p itself")
-    z = tuple(c3 * pi - c2 * di for pi, di in zip(p.coords, d))
-    out = RationalPoint(z)
-    if not x.contains(out):
-        raise AssertionError("tangent third point left the hypersurface")
-    return out
+    return RationalPoint(tuple(c3 * pi - c2 * di for pi, di in zip(p.coords, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,8 @@ class Configuration:
             raise ValueError("the line_span points must lie on L")
         if s0 == s1:
             raise ValueError("the line_span points must be distinct")
-        # a binary cubic with four roots on L vanishes on all of L
-        if any(f(tuple(a + k * b for a, b in zip(s0, s1))) for k in range(4)):
+        # F(s0 + t*s1) is the zero cubic exactly when F vanishes on all of L
+        if any(_restriction(f, 3, s0.coords, s1.coords)):
             raise ValueError("the surface must contain L")
         for name in ("p", "q", "a", "b"):
             if not self.on_line(getattr(self, name)):
@@ -207,10 +212,9 @@ class Configuration:
         pairs = ((i, j) for i in range(NV) for j in range(i + 1, NV))
         minors = ((i, j, s0[i] * s1[j] - s0[j] * s1[i]) for i, j in pairs)
         object.__setattr__(self, "_minor", next(m for m in minors if m[2]))
-        # P, R as binary quadratics c0 u^2 + c1 uv + c2 v^2, read at s0, s1, s0 + s1
-        mid = tuple(x + y for x, y in zip(s0, s1))
+        # P, R as binary quadratics c0 u^2 + c1 uv + c2 v^2 in (u, v)
         (p0, p1, p2), (r0, r1, r2) = (
-            (d(s0), d(mid) - d(s0) - d(s1), d(s1)) for d in self.surface._gradient[2:]
+            _restriction(d, 2, s0, s1) for d in self.surface._gradient[2:]
         )
         iota = (p0 * r2 - p2 * r0, p1 * r2 - p2 * r1, p1 * r0 - p0 * r1, p2 * r0 - p0 * r2)
         object.__setattr__(self, "_involution", iota)
@@ -285,28 +289,25 @@ def _isqrt_exact(n: int) -> int | None:
     return s if s * s == n else None
 
 
+def _monomial(i: int, j: int) -> tuple[int, ...]:
+    """Exponents of x_i * x_j."""
+    return tuple(int(k == i) + int(k == j) for k in range(NV))
+
+
+def _random_quadric(rng: random.Random, n: int) -> MultiPoly:
+    """A quadric in x_0..x_(n-1), coefficients drawn from -3..3 in (i, j) order."""
+    return MultiPoly(
+        NV, {_monomial(i, j): rng.randint(-3, 3) for i in range(n) for j in range(i, n)}
+    )
+
+
 def _conic_gram(conic: MultiPoly) -> list[list[Fraction]]:
     """Doubled symmetric Gram matrix of a plane conic in the first three
     variables (doubling keeps integer conics integral)."""
-
-    def coeff(i: int, j: int) -> Fraction:
-        e = [0] * NV
-        e[i] += 1
-        e[j] += 1
-        return conic.terms.get(tuple(e), Fraction(0))
-
     return [
-        [2 * coeff(i, j) if i == j else coeff(*sorted((i, j))) for j in range(3)]
+        [(2 if i == j else 1) * conic.terms.get(_monomial(i, j), Fraction(0)) for j in range(3)]
         for i in range(3)
     ]
-
-
-def _det3(m: list[list[Fraction]]) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def build_configuration(seed: int, budget: int = 400) -> Configuration:
@@ -322,18 +323,9 @@ def build_configuration(seed: int, budget: int = 400) -> Configuration:
     e0 = RationalPoint((1, 0, 0, 0))
     e1 = RationalPoint((0, 1, 0, 0))
     for _ in range(budget):
-        c_terms = {}
-        for i in range(3):
-            for j in range(i, 3):
-                e = [0] * NV
-                e[i] += 1
-                e[j] += 1
-                c_terms[tuple(e)] = rng.randint(-3, 3)
-        conic = MultiPoly(NV, c_terms)
+        conic = _random_quadric(rng, 3)
         # restriction of the conic to L: A u^2 + B uv + C v^2
-        big_a = conic((1, 0, 0, 0))
-        big_c = conic((0, 1, 0, 0))
-        big_b = conic((1, 1, 0, 0)) - big_a - big_c
+        big_a, big_b, big_c = _restriction(conic, 2, e0.coords, e1.coords)
         if big_a == 0:
             continue
         disc = int(big_b * big_b - 4 * big_a * big_c)
@@ -342,18 +334,10 @@ def build_configuration(seed: int, budget: int = 400) -> Configuration:
             continue
         a = RationalPoint((-big_b + s, 2 * big_a, 0, 0))
         b = RationalPoint((-big_b - s, 2 * big_a, 0, 0))
-        # conic irreducibility: determinant of the symmetric Gram matrix
-        gram = _conic_gram(conic)
-        if _det3(gram) == 0:
+        # conic irreducibility: det of the symmetric Gram matrix, -char_poly(0)
+        if char_poly(RatMatrix(_conic_gram(conic))).coeff(0) == 0:
             continue
-        q_terms = {}
-        for i in range(NV):
-            for j in range(i, NV):
-                e = [0] * NV
-                e[i] += 1
-                e[j] += 1
-                q_terms[tuple(e)] = rng.randint(-3, 3)
-        quad = MultiPoly(NV, q_terms)
+        quad = _random_quadric(rng, NV)
         if quad(a.coords) == 0 or quad(b.coords) == 0:
             continue  # the surface would be singular at a or b
         x2 = MultiPoly.variable(2, NV)
@@ -363,10 +347,9 @@ def build_configuration(seed: int, budget: int = 400) -> Configuration:
         q_pt = RationalPoint((1, rng.randint(-5, 5), 0, 0))
         # rational point of the conic through a random secant direction at a
         d = (rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, 2, 3)), 0)
-        cd = conic(d)
+        _, pol, cd = _restriction(conic, 2, a.coords, d)
         if cd == 0:
             continue
-        pol = conic(tuple(ai + di for ai, di in zip(a.coords, d))) - conic(a.coords) - cd
         r = RationalPoint(tuple(cd * ai - pol * di for ai, di in zip(a.coords, d)))
         if r.coords[2] == 0:
             continue  # r fell on L
@@ -426,8 +409,6 @@ def reflect_on_line(cfg: Configuration, x: RationalPoint) -> RationalPoint:
     only when P(x) = R(x) = 0 or P and R are parallel (iota = 0); the
     gradient at x then tells the failures apart.
     """
-    if not cfg.on_line(x):
-        raise ValueError("the point must lie on L")
     u, v = cfg.line_parameter(x)
     i00, i01, i10, i11 = cfg._involution
     image = (i00 * u + i01 * v, i10 * u + i11 * v)
@@ -614,6 +595,8 @@ def attractor_analysis(m: MobiusMap, a_param, b_param) -> dict:
 class BadPointSet:
     points: tuple[RationalPoint, ...]
     collisions: tuple[str, ...] = ()
+    # residual_second_points of the configuration, kept for the orbit checks
+    partners: tuple[RationalPoint, ...] = field(default=(), compare=False)
 
     def to_obj(self) -> dict:
         return {
@@ -664,7 +647,7 @@ def bad_points(cfg: Configuration) -> BadPointSet:
     for i, img in enumerate(images):
         if img in (cfg.a, cfg.b):
             collisions.append(f"bad[{i}] coincides with an intersection point")
-    return BadPointSet(tuple(images), tuple(collisions))
+    return BadPointSet(tuple(images), tuple(collisions), (pp, qq, rr))
 
 
 def _chart_value(
@@ -723,7 +706,7 @@ def check_configuration(
         safe_radius, safe_radius, precision + 1
     )
 
-    partners = residual_second_points(cfg)
+    partners = bads.partners
     marked = (cfg.p, cfg.q, cfg.r)
     names = ("p", "q", "r")
     starts = {}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from refdyn import billiards
 from refdyn.billiards import (
     RETURN_WORD,
     Configuration,
@@ -58,6 +59,43 @@ def test_third_intersection_equal_points_rejected():
     p = RationalPoint((1, -1, 0, 0))
     with pytest.raises(IndeterminacyError):
         third_intersection(FERMAT, p, p)
+
+
+def test_third_intersection_rejects_points_off_the_cubic():
+    on, off = RationalPoint((1, -1, 0, 0)), RationalPoint((1, 1, 1, 1))
+    for p, y in ((on, off), (off, on)):
+        with pytest.raises(ValueError, match="^both points must lie on the hypersurface$"):
+            third_intersection(FERMAT, p, y)
+
+
+def test_third_intersection_evaluates_the_cubic_four_times(monkeypatch):
+    # F at y, p, y + p and y - p: the two memberships and the two middle
+    # coefficients, with no check of the image afterwards
+    calls = []
+    evaluate = MultiPoly.__call__
+
+    def counting(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(MultiPoly, "__call__", counting)
+    z = third_intersection(FERMAT, RationalPoint((1, -1, 0, 0)), RationalPoint((1, 0, -1, 0)))
+    assert len(calls) == 4
+    assert z == RationalPoint((0, 1, -1, 0))
+
+
+def test_tangent_third_point_rejects_a_base_point_off_the_cubic():
+    # d is tangent to the level set F = 4 at (1:1:1:1), so only the base
+    # point's own value refuses it
+    base, d = RationalPoint((1, 1, 1, 1)), (1, 1, -2, 0)
+    assert sum(g * di for g, di in zip(FERMAT.gradient_at(base), d)) == 0
+    with pytest.raises(ValueError, match="^the base point must lie on the cubic$"):
+        tangent_third_point(FERMAT, base, d)
+
+
+def test_tangent_third_point_rejects_a_direction_that_is_not_tangent():
+    with pytest.raises(ValueError, match="^direction is not tangent at the base point$"):
+        tangent_third_point(FERMAT, RationalPoint((1, -1, 0, 0)), (1, 0, 0, 0))
 
 
 def _tangent_directions(surface, base, limit=30, seed=9):
@@ -369,7 +407,7 @@ def test_line_parameter_off_the_first_minor(cfg):
 
 
 def test_reflect_on_line_rejects_off_line_points(cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^point is not on the line$"):
         reflect_on_line(cfg, cfg.r)
 
 
@@ -442,6 +480,19 @@ def test_residual_second_points(cfg):
         g(cfg.r.coords) * c for g, c in zip(grads, rr.coords)
     )
     assert tangent_value == 0
+
+
+def test_check_configuration_finds_residual_partners_once(cfg, monkeypatch):
+    calls = []
+    find = billiards.residual_second_points
+
+    def counting(c):
+        calls.append(c)
+        return find(c)
+
+    monkeypatch.setattr(billiards, "residual_second_points", counting)
+    assert check_configuration(cfg, horizon=300, precision=9)["status"] == "success"
+    assert len(calls) == 1
 
 
 def test_check_configuration_success(cfg):

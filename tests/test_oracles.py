@@ -3,7 +3,8 @@ built on it, factorization over Q, real root isolation and exact comparison
 of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
 `dominant_growth` against numpy's floating-point roots and eigenvectors.
 `MultiPoly.__call__` against term-by-term Fraction evaluation,
-`UniPoly.__call__` against a Fraction Horner pass, and `reflect_on_line`
+`UniPoly.__call__` against a Fraction Horner pass, the billiards' reading of
+a form on a line against `MultiPoly.substitute`, and `reflect_on_line`
 against the tangent-plane substitution it replaced.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy or
@@ -17,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from refdyn.billiards import RationalPoint, build_configuration, reflect_on_line
+from refdyn.billiards import RationalPoint, _restriction, build_configuration, reflect_on_line
 from refdyn.core import (
     MultiPoly,
     RatMatrix,
@@ -392,6 +393,35 @@ def test_unipoly_call_matches_fraction_horner():
     assert UniPoly.zero()(Fraction(-3, 10**40)) == 0
     assert UniPoly.constant(Fraction(-5, 3))(Fraction(1, 10**50)) == Fraction(-5, 3)
     assert UniPoly((1, 0, -2))("-7/3") == Fraction(-89, 9)
+
+
+def _random_form(rng, degree):
+    """A homogeneous form in four variables on a random set of monomials."""
+    monomials = [
+        (a, b, c, degree - a - b - c)
+        for a in range(degree + 1) for b in range(degree + 1 - a) for c in range(degree + 1 - a - b)
+    ]
+    chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
+    return MultiPoly(4, {
+        e: Fraction(rng.randint(-20, 20) or 1, rng.choice((1, 1, 2, 3, 7, 10**9 + 7)))
+        for e in chosen
+    })
+
+
+def test_restriction_matches_substitution():
+    rng = random.Random(54)
+    t = MultiPoly.variable(0, 1)
+    for case in range(400):
+        degree = 2 + case % 2
+        form = _random_form(rng, degree)
+        y = tuple(_random_coordinate(rng) for _ in range(4))
+        d = tuple(_random_coordinate(rng) for _ in range(4))
+        line = [MultiPoly.constant(1, yi) + t.scale(di) for yi, di in zip(y, d)]
+        on_line = form.substitute(line)
+        expected = tuple(on_line.terms.get((i,), Fraction(0)) for i in range(degree + 1))
+        assert _restriction(form, degree, y, d) == expected, (form, y, d)
+    # a vanishing partial is still read as a binary quadratic
+    assert _restriction(MultiPoly.zero(4), 2, (1, 2, 0, 0), (0, 1, 0, 0)) == (0, 0, 0)
 
 
 def _reflect_on_line_by_substitution(cfg, x):
