@@ -15,9 +15,10 @@ geometric step is exact:
   L is the image.  With P and R the partials dF/dx2 and dF/dx3 restricted
   to L, that image is one Mobius involution of L, which `Configuration`
   builds once from P and R; it does not depend on the reflection center.
-* `return_map` composes a reflection word on probe points of L, fits the
-  induced projective-line map from three probes and certifies it exactly on
-  the rest; `attractor_analysis` reads off the exact eigenvalue ratio.
+* `return_map` is the map the return word induces on L, in closed form:
+  the product of two involutions of the line, each built from the two pairs
+  of points it swaps; `attractor_analysis` reads off the exact eigenvalue
+  ratio.
 * `check_configuration` runs the backward orbits of the three marked points,
   checking exact avoidance of the forbidden points at every step, until an
   orbit point on L enters the certified safe radius around the attractor
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    MultiPoly, RatMatrix, as_rational, char_poly, field_kernel, outward_decimals, rat_to_str
+    MultiPoly, RatMatrix, as_rational, char_poly, outward_decimals, rat_to_str
 )
 
 NV = 4  # ambient P^3
@@ -453,9 +454,6 @@ RETURN_WORD = "rqprqp"
 # the induced projective-line map
 # ---------------------------------------------------------------------------
 
-# admissible probes per fit: three fix the map, the other three certify it
-_PROBES = 6
-
 
 @dataclass(frozen=True)
 class MobiusMap:
@@ -503,54 +501,49 @@ class MobiusMap:
         return [[rat_to_str(m[i, j]) for j in range(2)] for i in range(2)]
 
 
-def _fit_line_map(
-    pairs: Sequence[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]
-) -> MobiusMap:
-    """2x2 matrix sending the three source parameters to the three images."""
-    # w x (M z) = 0: wu*(m10 zu + m11 zv) - wv*(m00 zu + m01 zv) = 0
-    rows = [
-        [-wv * zu, -wv * zv, wu * zu, wu * zv] for (zu, zv), (wu, wv) in pairs[:3]
-    ]
-    kernel = field_kernel(rows)
-    if len(kernel) != 1:
-        raise IndeterminacyError("probe images do not determine a unique line map")
-    sol = kernel[0]
-    return MobiusMap(RatMatrix([sol[:2], sol[2:]]))
+def _tangent_foot(cfg: Configuration) -> RationalPoint:
+    """rr: where the conic's tangent line at r meets L (x2 = x3 = 0)."""
+    d0, d1 = (g(cfg.r.coords) for g in cfg.conic_form.gradient()[:2])
+    if d0 == 0 and d1 == 0:
+        raise IndeterminacyError("conic tangent line at r misses L")
+    return RationalPoint((d1, -d0, 0, 0))
 
 
-def return_map(cfg: Configuration, word: str = RETURN_WORD) -> MobiusMap:
-    """Fit and certify the projective-line map induced on L by the word.
+def _swapping(cfg: Configuration, *pairs: tuple[RationalPoint, RationalPoint]) -> RatMatrix:
+    """The involution of L's parameters that swaps each of two pairs of points.
 
-    Probes are rational points of L (indeterminate orbits are skipped and
-    resampled); the map is fitted from three probe/image pairs and certified
-    by exact equality on all remaining probes.  The word must return L to L.
+    It swaps x and y exactly when K(x, y) = 0 for one symmetric bilinear form
+    K = [[k0, k1], [k1, k2]]: (k0, k1, k2) is orthogonal to the row
+    (x0*y0, x0*y1 + x1*y0, x1*y1) of each pair, so it is their cross product.
+    The partner of t is then J*K*t with J = [[0, 1], [-1, 0]].
     """
-    pairs = []
-    tried = 0
-    t = 2
-    while len(pairs) < _PROBES and tried < 200:
-        tried += 1
-        probe = cfg.point_from_parameter(1, t)
-        t += 1
-        if probe in (cfg.p, cfg.q, cfg.a, cfg.b):
-            continue
-        try:
-            img = orbit_points(cfg, probe, word)[-1]
-        except IndeterminacyError:
-            continue
-        if not cfg.on_line(img):
-            raise IndeterminacyError("the word does not return L to L")
-        pairs.append((cfg.line_parameter(probe), cfg.line_parameter(img)))
-    if len(pairs) < 4:
-        raise IndeterminacyError("not enough admissible probes on L")
-    fitted = _fit_line_map(pairs)
-    for (zu, zv), (wu, wv) in pairs[3:]:
-        iu, iv = fitted.apply(zu, zv)
-        if iu * wv - iv * wu != 0:
-            raise IndeterminacyError(
-                "fitted map fails certification: the return map is not a line map"
-            )
-    return fitted
+    rows = []
+    for x, y in pairs:
+        (x0, x1), (y0, y1) = cfg.line_parameter(x), cfg.line_parameter(y)
+        rows.append((x0 * y0, x0 * y1 + x1 * y0, x1 * y1))
+    (a0, a1, a2), (b0, b1, b2) = rows
+    k0, k1, k2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return RatMatrix([[k1, k2], [-k0, -k1]])
+
+
+def return_map(cfg: Configuration) -> MobiusMap:
+    """The projective-line map that RETURN_WORD induces on L, in closed form.
+
+    Give a point of C the parameter of the point of L on its line through r;
+    reflecting through r keeps the parameter.  Reflecting a point of C
+    through q (on L) is the involution S_q of the parameters that swaps a and
+    b and swaps q with rr, where the tangent to C at r meets L; S_p likewise.
+    On L both p and q reflect by iota, so the word is iota^2 * S_p * S_q
+    (S_q first), and iota^2 = -det(iota) is scalar: the map is S_p * S_q.
+    det(iota) = -Res(P, R) vanishes exactly when the surface is singular on
+    L, and then no orbit of the word completes.
+    """
+    i00, i01, i10, i11 = cfg._involution
+    if i00 * i11 - i01 * i10 == 0:
+        raise IndeterminacyError("surface is singular on L")
+    rr = _tangent_foot(cfg)
+    s_p, s_q = (_swapping(cfg, (cfg.a, cfg.b), (x, rr)) for x in (cfg.p, cfg.q))
+    return MobiusMap(s_p * s_q)
 
 
 def attractor_analysis(m: MobiusMap, a_param, b_param) -> dict:
@@ -609,15 +602,8 @@ def residual_second_points(cfg: Configuration) -> tuple[RationalPoint, ...]:
     """For each marked reflection point, the second point its tangent
     section cuts on L: for p and q the residual conic's other intersection
     with L, for r the intersection of the conic's tangent line at r with L."""
-    pp = reflect_on_line(cfg, cfg.p)
-    qq = reflect_on_line(cfg, cfg.q)
-    grads = cfg.conic_form.gradient()
-    d0 = grads[0](cfg.r.coords)
-    d1 = grads[1](cfg.r.coords)
-    if d0 == 0 and d1 == 0:
-        raise IndeterminacyError("conic tangent line at r misses L")
-    rr = RationalPoint((d1, -d0, 0, 0))
-    return pp, qq, rr
+    return reflect_on_line(cfg, cfg.p), reflect_on_line(cfg, cfg.q), _tangent_foot(cfg)
+
 
 
 # words pushing each marked point and its residual partner to the common

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q: `field_kernel`, the package's one Gaussian
 elimination.
 
-`core.matrix` reads minimal polynomials off Krylov kernels with it, and
-`billiards` fits line maps with it.
+Its one caller in the package is `core.matrix.minimal_poly`, which reads
+minimal polynomials off Krylov kernels.
 """
 
 from __future__ import annotations

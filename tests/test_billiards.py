@@ -343,10 +343,22 @@ def _with_quadric(cfg, quad):
     return dataclasses.replace(cfg, surface=CubicHypersurface(x2 * cfg.conic_form + x3 * quad))
 
 
-def test_reflect_on_line_with_parallel_partials(cfg):
+def _with_parallel_partials(cfg):
     # Q = c + x3*x0 restricts to c on L, so P and R are parallel and iota = 0
     x0, x3 = MultiPoly.variable(0, 4), MultiPoly.variable(3, 4)
-    degenerate = _with_quadric(cfg, cfg.conic_form + x3 * x0)
+    return _with_quadric(cfg, cfg.conic_form + x3 * x0)
+
+
+def _with_a_rank_one_involution(cfg):
+    # Q = l*x1 with l vanishing at a: P and R share the root a, so iota has
+    # rank 1, the surface is singular at a, and every other point maps to a
+    a0, a1 = cfg.a.coords[:2]
+    x0, x1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
+    return _with_quadric(cfg, (x0.scale(a1) - x1.scale(a0)) * x1)
+
+
+def test_reflect_on_line_with_parallel_partials(cfg):
+    degenerate = _with_parallel_partials(cfg)
     assert _involution(degenerate) == ((0, 0), (0, 0))
     for t in range(-6, 7):
         x = degenerate.point_from_parameter(1, t)
@@ -362,11 +374,7 @@ def test_reflect_on_line_with_parallel_partials(cfg):
 
 
 def test_reflect_on_line_with_a_rank_one_involution(cfg):
-    # Q = l*x1 with l vanishing at a: P and R share the root a, so iota has
-    # rank 1, the surface is singular at a, and every other point maps to a
-    a0, a1 = cfg.a.coords[:2]
-    x0, x1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
-    degenerate = _with_quadric(cfg, (x0.scale(a1) - x1.scale(a0)) * x1)
+    degenerate = _with_a_rank_one_involution(cfg)
     (a, b), (c, d) = _involution(degenerate)
     assert a * d - b * c == 0 and any((a, b, c, d))
     with pytest.raises(IndeterminacyError, match="^surface is singular at the point$"):
@@ -417,6 +425,18 @@ def test_return_map_fixes_intersection_points(cfg):
     assert phi.fixes(*cfg.line_parameter(cfg.b))
 
 
+@pytest.mark.parametrize("make", [_with_parallel_partials, _with_a_rank_one_involution])
+def test_return_map_and_check_raise_on_a_surface_singular_on_l(cfg, make):
+    # det iota = -Res(P, R) = 0: the surface is singular at a common root of
+    # P and R on L.  On x2*c + x3*Q, Res(P, R) = 0 exactly when Q(a)*Q(b) = 0,
+    # which build_configuration rejects, so only library calls get here.
+    degenerate = make(cfg)
+    with pytest.raises(IndeterminacyError):
+        return_map(degenerate)
+    with pytest.raises(IndeterminacyError):
+        check_configuration(degenerate, horizon=300, precision=9)
+
+
 def test_return_word_really_returns(cfg):
     pts = orbit_points(cfg, cfg.point_from_parameter(1, 9), RETURN_WORD)
     assert cfg.on_line(pts[-1])
@@ -445,6 +465,7 @@ def test_degenerate_equal_line_points_word_is_identity(cfg):
             continue
         pts = orbit_points(degenerate, probe, RETURN_WORD)
         assert pts[-1] == probe
+    assert return_map(degenerate).to_obj() == [["1", "0"], ["0", "1"]]
 
 
 def test_attractor_analysis_constructed_maps():

@@ -1,8 +1,9 @@
 """Golden digests of CLI reports: the determinism contract, pinned.
 
 Each argv's stdout must hash to the recorded sha256 and its exit code must
-match; each spectral certificate must hash to its recorded sha256.  A
-rewrite of the exact core that changes any report byte fails here.
+match; each spectral certificate must hash to its recorded sha256, and so
+must the billiard return maps of seeds 0..199.  A rewrite of the exact core
+that changes any report byte fails here.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ import json
 
 import pytest
 
+from refdyn.billiards import build_configuration, return_map
 from refdyn.cli import main
 from refdyn.core import RatMatrix
 from refdyn.transitions import dominant_growth
@@ -248,3 +250,14 @@ def test_spectral_digest(rows, digest):
     obj = dominant_growth(RatMatrix(rows), [1] * len(rows)).to_obj()
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the compact JSON list of return_map(build_configuration(s)).to_obj()
+# for s in 0..199: the billiard return map on L, pinned apart from the reports
+RETURN_MAP_GOLDEN = "3cc5303be05ca8338fbfb66008e52ccbfab9b4475ab60d3021639cf678ea128d"
+
+
+def test_return_map_digest():
+    maps = [return_map(build_configuration(s)).to_obj() for s in range(200)]
+    text = json.dumps(maps, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == RETURN_MAP_GOLDEN

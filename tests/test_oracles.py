@@ -4,8 +4,9 @@ of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
 `dominant_growth` against numpy's floating-point roots and eigenvectors.
 `MultiPoly.__call__` against term-by-term Fraction evaluation,
 `UniPoly.__call__` against a Fraction Horner pass, the billiards' reading of
-a form on a line against `MultiPoly.substitute`, and `reflect_on_line`
-against the tangent-plane substitution it replaced.
+a form on a line against `MultiPoly.substitute`, `reflect_on_line`
+against the tangent-plane substitution it replaced, and the closed-form
+`return_map` against the orbits of the return word it replaced.
 
 Oracle-only: these tests add no behaviour and are skipped without sympy or
 numpy.
@@ -18,7 +19,20 @@ from math import gcd
 
 import pytest
 
-from refdyn.billiards import RationalPoint, _restriction, build_configuration, reflect_on_line
+from refdyn import billiards
+from refdyn.billiards import (
+    RETURN_WORD,
+    IndeterminacyError,
+    RationalPoint,
+    _restriction,
+    _swapping,
+    build_configuration,
+    orbit_points,
+    reflect_on_line,
+    residual_second_points,
+    return_map,
+    third_intersection,
+)
 from refdyn.core import (
     MultiPoly,
     RatMatrix,
@@ -466,3 +480,86 @@ def test_reflect_on_line_matches_the_substitution_construction():
             expected = _reflect_on_line_by_substitution(cfg, x)
             image = reflect_on_line(cfg, x)
             assert image == expected
+
+
+def _proportional(x, y):
+    return x[0] * y[1] == x[1] * y[0]
+
+
+def _line_parameters(rng):
+    return [(1, rng.randint(-40, 40)) for _ in range(5)] + [
+        (rng.randint(-40, 40) or 1, rng.randint(1, 40)) for _ in range(3)
+    ]
+
+
+def test_return_map_matches_the_return_word_orbits():
+    rng = random.Random(55)
+    for seed in range(30):
+        cfg = build_configuration(seed)
+        phi = return_map(cfg)
+        hits = 0
+        for t in _line_parameters(rng):
+            try:
+                image = orbit_points(cfg, cfg.point_from_parameter(*t), RETURN_WORD)[-1]
+            except IndeterminacyError:
+                continue
+            assert _proportional(cfg.line_parameter(image), phi.apply(*t)), (seed, t)
+            hits += 1
+        assert hits >= 6, seed
+
+
+def _conic_point(cfg, x):
+    """The second point of C on the line through r and x, from the conic
+    alone: Q(r + s*x) = s*(2B(r, x) + s*Q(x)) with B the polar form."""
+    conic, r = cfg.conic_form, cfg.r.coords
+    polar2 = conic(tuple(a + b for a, b in zip(r, x.coords))) - conic(r) - conic(x.coords)
+    return RationalPoint(tuple(conic(x.coords) * a - polar2 * b for a, b in zip(r, x.coords)))
+
+
+def _conic_parameter(cfg, c, rr):
+    """The parameter of the point of L on the line through r and c; for
+    c = r that line is the tangent, which meets L at rr."""
+    if c == cfg.r:
+        return cfg.line_parameter(rr)
+    r, c = cfg.r.coords, c.coords
+    return cfg.line_parameter(RationalPoint(tuple(r[2] * a - c[2] * b for a, b in zip(c, r))))
+
+
+def test_reflection_of_c_through_p_and_q_is_the_swapping_involution():
+    rng = random.Random(56)
+    for seed in range(30):
+        cfg = build_configuration(seed)
+        rr = residual_second_points(cfg)[2]
+        for center in (cfg.p, cfg.q):
+            s = _swapping(cfg, (cfg.a, cfg.b), (center, rr))
+            # the first two probes meet the pair (center, rr): their C-points
+            # are the one on the line through r and the center, and r itself
+            probes = [cfg.line_parameter(center), cfg.line_parameter(rr)]
+            for t in probes + _line_parameters(rng):
+                x = cfg.point_from_parameter(*t)
+                if x in (cfg.a, cfg.b):
+                    continue
+                c = _conic_point(cfg, x)
+                assert _proportional(_conic_parameter(cfg, c, rr), t)
+                image = third_intersection(cfg.surface, center, c)
+                assert cfg.on_conic(image) and not cfg.on_line(image)
+                assert _proportional(_conic_parameter(cfg, image, rr), s.matvec(t)), (seed, t)
+
+
+def test_return_map_reflects_no_point(monkeypatch):
+    configurations = [build_configuration(seed) for seed in range(5)]
+    calls = []
+
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"return_map called {name}")
+        return call
+
+    for name in ("third_intersection", "reflect_on_line"):
+        monkeypatch.setattr(billiards, name, refuse(name))
+    for module in ("core", "core.numberfield", "core.matrix", "billiards"):
+        monkeypatch.setattr(f"refdyn.{module}.field_kernel", refuse("field_kernel"), raising=False)
+    for cfg in configurations:
+        return_map(cfg)
+    assert calls == []
