@@ -13,8 +13,9 @@ geometric step is exact:
   through a point of L (the joining line lies on the surface): the tangent
   plane section splits off a residual conic whose second intersection with
   L is the image.  With P and R the partials dF/dx2 and dF/dx3 restricted
-  to L, that image is one Mobius involution of L, which `Configuration`
-  builds once from P and R; it does not depend on the reflection center.
+  to L (dF/dx_i for the first x_i in the line form, on another line), that
+  image is one Mobius involution of L, which `Configuration` builds once
+  from P and R; it does not depend on the reflection center.
 * `return_map` is the map the return word induces on L, in closed form:
   the product of two involutions of the line, each built from the two pairs
   of points it swaps; `attractor_analysis` reads off the exact eigenvalue
@@ -178,6 +179,8 @@ class Configuration:
     seed: int = -1
     # (i, j, det): the first nonzero 2x2 minor of line_span
     _minor: tuple[int, int, Fraction] = field(init=False, repr=False, compare=False)
+    # the partials (P, R) of the surface that reflect_on_line reads on L
+    _normals: tuple[MultiPoly, MultiPoly] = field(init=False, repr=False, compare=False)
     # the involution of L as a 2x2 matrix in row order (see reflect_on_line)
     _involution: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
@@ -213,10 +216,14 @@ class Configuration:
         pairs = ((i, j) for i in range(NV) for j in range(i + 1, NV))
         minors = ((i, j, s0[i] * s1[j] - s0[j] * s1[i]) for i, j in pairs)
         object.__setattr__(self, "_minor", next(m for m in minors if m[2]))
+        # P = dF/dx_i for the first x_i (i < 3) in line_form, R = dF/dx3:
+        # on L the gradient of F is normal to L, so the tangent plane at x
+        # holds w = -R(x)*e_i + P(x)*e3, which leaves L
+        i = next(k for k in range(3) if any(e[k] for e in self.line_form.terms))
+        normals = (self.surface._gradient[i], self.surface._gradient[3])
+        object.__setattr__(self, "_normals", normals)
         # P, R as binary quadratics c0 u^2 + c1 uv + c2 v^2 in (u, v)
-        (p0, p1, p2), (r0, r1, r2) = (
-            _restriction(d, 2, s0, s1) for d in self.surface._gradient[2:]
-        )
+        (p0, p1, p2), (r0, r1, r2) = (_restriction(d, 2, s0, s1) for d in normals)
         iota = (p0 * r2 - p2 * r0, p1 * r2 - p2 * r1, p1 * r0 - p0 * r1, p2 * r0 - p0 * r2)
         object.__setattr__(self, "_involution", iota)
 
@@ -396,9 +403,10 @@ def reflect_on_line(cfg: Configuration, x: RationalPoint) -> RationalPoint:
     not depend on the reflection center, and exchanges the two intersection
     points of L with the conic C.
 
-    Let P = (p0, p1, p2) and R = (r0, r1, r2) be dF/dx2 and dF/dx3 on L as
-    binary quadratics in the span coordinates (u, v).  The tangent plane at
-    x is spanned by L and w = (0, 0, -R(x), P(x)); for y on L,
+    Let P = (p0, p1, p2) and R = (r0, r1, r2) be dF/dx_i and dF/dx3 on L as
+    binary quadratics in the span coordinates (u, v), where x_i is the first
+    of x0, x1, x2 in the line form (x2 for L = {x2 = x3 = 0}).  The tangent
+    plane at x is spanned by L and w = -R(x)*e_i + P(x)*e3; for y on L,
     F(y + t*w) = t*(P(x)*R(y) - R(x)*P(y)) + O(t^2), so the residual conic
     cuts L where that quadratic in y vanishes.  Being antisymmetric in x
     and y, it is (x cross y) times a symmetric bilinear form, and its second
@@ -415,7 +423,7 @@ def reflect_on_line(cfg: Configuration, x: RationalPoint) -> RationalPoint:
     image = (i00 * u + i01 * v, i10 * u + i11 * v)
     if image != (0, 0):
         return cfg.point_from_parameter(*image)
-    if any(d(x.coords) for d in cfg.surface._gradient[2:]):
+    if any(d(x.coords) for d in cfg._normals):
         raise IndeterminacyError("residual conic contains L (degenerate tangency)")
     if all(g == 0 for g in cfg.surface.gradient_at(x)):
         raise IndeterminacyError("surface is singular at the point")
@@ -502,11 +510,17 @@ class MobiusMap:
 
 
 def _tangent_foot(cfg: Configuration) -> RationalPoint:
-    """rr: where the conic's tangent line at r meets L (x2 = x3 = 0)."""
-    d0, d1 = (g(cfg.r.coords) for g in cfg.conic_form.gradient()[:2])
+    """rr: where the conic's tangent line at r meets L.
+
+    The tangent line is grad C(r) . y = 0 in the plane, so on the span
+    (s0, s1) of L it is rr = (grad C(r) . s1) * s0 - (grad C(r) . s0) * s1.
+    """
+    grad = [g(cfg.r.coords) for g in cfg.conic_form.gradient()]
+    s0, s1 = (s.coords for s in cfg.line_span)
+    d0, d1 = (sum(g * c for g, c in zip(grad, s)) for s in (s0, s1))
     if d0 == 0 and d1 == 0:
         raise IndeterminacyError("conic tangent line at r misses L")
-    return RationalPoint((d1, -d0, 0, 0))
+    return RationalPoint(tuple(d1 * a - d0 * b for a, b in zip(s0, s1)))
 
 
 def _swapping(cfg: Configuration, *pairs: tuple[RationalPoint, RationalPoint]) -> RatMatrix:

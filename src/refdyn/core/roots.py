@@ -68,7 +68,7 @@ class AlgebraicReal:
     and the Sturm count of roots in (lo, hi) is exactly one.
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "_lo_positive")
 
     def __init__(self, poly: UniPoly, lo: RationalLike, hi: RationalLike):
         lo, hi = as_rational(lo), as_rational(hi)
@@ -80,7 +80,8 @@ class AlgebraicReal:
             raise ValueError("defining polynomial must be square-free")
         if lo >= hi:
             raise ValueError("isolating interval must satisfy lo < hi")
-        if prim(lo) == 0 or prim(hi) == 0:
+        at_lo = prim(lo)
+        if at_lo == 0 or prim(hi) == 0:
             raise ValueError("interval endpoints must not be roots")
         chain = sturm_chain(prim)
         if sign_variations_at(chain, lo) - sign_variations_at(chain, hi) != 1:
@@ -88,13 +89,15 @@ class AlgebraicReal:
         self.poly = prim
         self.lo = lo
         self.hi = hi
+        self._lo_positive = at_lo > 0
 
     @classmethod
-    def _certified(cls, poly, lo, hi) -> "AlgebraicReal":
+    def _certified(cls, poly, lo, hi, lo_positive=None) -> "AlgebraicReal":
         """An interval already proved isolating (by a Sturm count or a sign
-        change); checks nothing."""
+        change); checks nothing.  lo_positive is whether poly(lo) > 0, or
+        None when not yet known."""
         self = object.__new__(cls)
-        self.poly, self.lo, self.hi = poly, lo, hi
+        self.poly, self.lo, self.hi, self._lo_positive = poly, lo, hi, lo_positive
         return self
 
     @classmethod
@@ -141,6 +144,9 @@ class AlgebraicReal:
     # -- refinement --------------------------------------------------------------
 
     def _bisect_once(self) -> "AlgebraicReal":
+        """The half of the interval that holds the root.  The sign of poly
+        at lo is carried from halving to halving, so each halving evaluates
+        poly once, at the midpoint."""
         mid = self.midpoint()
         at_mid = self.poly(mid)
         if at_mid == 0:
@@ -149,13 +155,14 @@ class AlgebraicReal:
             delta = min(mid - self.lo, self.hi - mid) / 4
             while self.poly(mid - delta) == 0 or self.poly(mid + delta) == 0:
                 delta /= 2
-            lo, hi = mid - delta, mid + delta
-        elif (at_mid > 0) != (self.poly(self.lo) > 0):
+            return AlgebraicReal._certified(self.poly, mid - delta, mid + delta)
+        lo_positive = self._lo_positive
+        if lo_positive is None:
+            lo_positive = self._lo_positive = self.poly(self.lo) > 0
+        if (at_mid > 0) != lo_positive:
             # the one sign change of poly on (lo, hi) lies in (lo, mid)
-            lo, hi = self.lo, mid
-        else:
-            lo, hi = mid, self.hi
-        return AlgebraicReal._certified(self.poly, lo, hi)
+            return AlgebraicReal._certified(self.poly, self.lo, mid, lo_positive)
+        return AlgebraicReal._certified(self.poly, mid, self.hi, at_mid > 0)
 
     def refined(self, eps: RationalLike) -> "AlgebraicReal":
         """Same root, interval width < eps, by exact bisection."""

@@ -386,9 +386,8 @@ def test_reflect_on_line_with_a_rank_one_involution(cfg):
             assert reflect_on_line(degenerate, x) == degenerate.a
 
 
-def test_line_parameter_off_the_first_minor(cfg):
-    # swapping x0 and x2 moves L to x0 = x3 = 0, where the (0, 1) minor of
-    # the span vanishes and the parameters come from the (1, 2) minor
+def _with_x0_and_x2_swapped(cfg):
+    """The same configuration with x0 and x2 swapped: L is x0 = x3 = 0."""
     x = [MultiPoly.variable(i, 4) for i in range(4)]
     perm = [x[2], x[1], x[0], x[3]]
 
@@ -396,7 +395,7 @@ def test_line_parameter_off_the_first_minor(cfg):
         c = pt.coords
         return RationalPoint((c[2], c[1], c[0], c[3]))
 
-    swapped = Configuration(
+    return Configuration(
         surface=CubicHypersurface(cfg.surface.form.substitute(perm)),
         plane_form=cfg.plane_form.substitute(perm),
         line_form=cfg.line_form.substitute(perm),
@@ -404,6 +403,12 @@ def test_line_parameter_off_the_first_minor(cfg):
         line_span=tuple(swap(s) for s in cfg.line_span),
         **{name: swap(getattr(cfg, name)) for name in "pqrab"},
     )
+
+
+def test_line_parameter_off_the_first_minor(cfg):
+    # on L = {x0 = x3 = 0} the (0, 1) minor of the span vanishes and the
+    # parameters come from the (1, 2) minor
+    swapped = _with_x0_and_x2_swapped(cfg)
     s0, s1 = swapped.line_span
     for u, v in ((1, 0), (0, 1), (3, -2), (Fraction(1, 3), 5)):
         pt = swapped.point_from_parameter(u, v)
@@ -412,6 +417,20 @@ def test_line_parameter_off_the_first_minor(cfg):
         assert tuple(pu * a + pv * b for a, b in zip(s0.coords, s1.coords)) == pt.coords
     with pytest.raises(ValueError, match="^point is not on the line$"):
         swapped.line_parameter(swapped.r)
+
+
+def test_return_map_and_check_on_another_line(cfg):
+    # the involution and rr follow line_form, so the swapped surface, smooth
+    # on its L = {x0 = x3 = 0}, has the return map and certificate of seed 7
+    swapped = _with_x0_and_x2_swapped(cfg)
+    assert return_map(swapped).to_obj() == [["1", "0"], ["3/5", "1/10"]]
+    assert return_map(swapped).to_obj() == return_map(cfg).to_obj()
+    assert check_configuration(swapped)["status"] == "success"
+    pp, qq, rr = residual_second_points(swapped)
+    assert all(swapped.on_line(pt) for pt in (pp, qq, rr))
+    # rr is where the conic's tangent line at r meets L
+    grad = [g(swapped.r.coords) for g in swapped.conic_form.gradient()]
+    assert sum(g * c for g, c in zip(grad, rr.coords)) == 0
 
 
 def test_reflect_on_line_rejects_off_line_points(cfg):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from refdyn.core import factor
 from refdyn.core import (
     MultiPoly,
     UniPoly,
@@ -114,8 +115,60 @@ def test_factor_irreducible_octic():
 def test_factor_errors():
     with pytest.raises(ValueError):
         factor_over_rationals(UniPoly.zero())
-    with pytest.raises(ValueError):
-        factor_over_rationals(P(*range(1, 12)))  # degree 10 > bound
+    # degree 10: there is no degree bound
+    sympy = pytest.importorskip("sympy")
+    f = P(*range(1, 12))
+    x = sympy.Symbol("x")
+    _, theirs = sympy.factor_list(sum(c * x**i for i, c in enumerate(range(1, 12))))
+    assert [(g.coeffs, m) for g, m in factor_over_rationals(f)] == [
+        (tuple(reversed(sympy.Poly(g, x).all_coeffs())), m) for g, m in theirs
+    ]
+
+
+# two slow cases of the exhaustive search that factoring replaced: the screen
+# proves the octic irreducible, and the product splits mod 7 as [4, 4]
+def test_factor_octic_and_quartic_product():
+    octic = P(-138, -250, 156, 60, -75, -51, -52, -11, 1)
+    assert factor_over_rationals(octic) == [(octic, 1)]
+    f = P(48, 8, -144, 40, -114, 56, -4, 28, 16)
+    assert factor_over_rationals(f) == [
+        (P(-6, 5, 4, 6, 2), 1),
+        (P(-4, -4, 6, -5, 4), 1),
+    ]
+
+
+def test_factor_screen_proves_irreducibility_without_lifting(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("lifted a polynomial the screen proves irreducible")
+
+    monkeypatch.setattr(factor, "_hensel_lift", no_lift)
+    octic = P(-138, -250, 156, 60, -75, -51, -52, -11, 1)
+    assert factor_over_rationals(octic) == [(octic, 1)]
+    # x^4 + 1 splits mod every prime, so only recombination proves it
+    with pytest.raises(AssertionError, match="^lifted"):
+        factor_over_rationals(P(1, 0, 0, 0, 1))
+
+
+# irreducible over Q but reducible mod every prime: recombination must
+# reject every pair of modular factors
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [P(1, 0, -10, 0, 1)],
+        [P(1, 0, 0, 0, 1)],
+        [P(1, 0, -10, 0, 1), P(1, 0, 0, 0, 1)],
+        [P(1, 0, 0, 0, 1), P(576, 0, -960, 0, 352, 0, -40, 0, 1)],
+    ],
+    # the octic is the minimal polynomial of sqrt(2) + sqrt(3) + sqrt(5)
+    ids=["x^4-10x^2+1", "x^4+1", "both", "x^4+1 and an octic"],
+)
+def test_factor_recombines_polynomials_split_mod_every_prime(polys):
+    f = UniPoly.one()
+    for g in polys:
+        f = f * g
+    assert factor_over_rationals(f) == sorted(
+        ((g, 1) for g in polys), key=lambda gm: (gm[0].degree, gm[0].coeffs)
+    )
 
 
 def test_factor_remultiplies(

@@ -207,6 +207,32 @@ def test_public_constructor_keeps_its_sturm_chain(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AlgebraicReal(P(-2, 0, 1), 1, 2),
+        lambda: isolate_real_roots(P(-2, 0, 1))[-1],
+    ],
+    ids=["constructor", "isolation"],
+)
+def test_each_halving_evaluates_once(monkeypatch, make):
+    # the sign at lo is carried through halvings: one evaluation per halving,
+    # plus one for the isolated interval, whose sign at lo is not yet known
+    root = make()
+    known = root._lo_positive is not None
+    calls = []
+    original = UniPoly.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(UniPoly, "__call__", counting)
+    fine = root.refined(root.width() / 2**40)
+    assert fine.width() == root.width() / 2**41
+    assert len(calls) == 41 + (not known)
+
+
 def _sqrt2_convergent(k):
     """The k-th continued-fraction convergent p/q of sqrt(2), k >= 1."""
     p, q = 1, 1

@@ -142,7 +142,7 @@ def test_report_digest(capsys, argv, code, digest):
 
 # Spectral certificates: sha256 of the canonical JSON of
 # dominant_growth(M, ones).to_obj().  The matrices cover irreducible quartic
-# and sextic cores, cores that Kronecker search splits 2+2, 2+3 and 3+3, and
+# and sextic cores, cores that split over Q as 2+2, 2+3 and 3+3, and
 # dominant factors with complex roots.
 SPECTRAL_GOLDEN = [
     (

@@ -245,11 +245,26 @@ def test_factor_over_rationals_matches_sympy():
             if p.degree + mult * f.degree > 8:
                 break
             p = p * f**mult
-        ours = factor_over_rationals(p)
-        _, theirs = sympy.Poly([_rat(c) for c in reversed(p.coeffs)], x).factor_list()
-        assert _normalized((f.coeffs, m) for f, m in ours) == _normalized(
-            (reversed(f.all_coeffs()), m) for f, m in theirs
-        ), (case, p.format())
+        _assert_factors_match(p, x)
+    # degree 9-12, beyond the bound of the search that modular factoring
+    # replaced: products of factors of degree 1-12, some squared
+    rng = random.Random(912)
+    for case in range(24):
+        target = rng.randint(9, 12)
+        p = UniPoly((rng.choice((1, 2, -3)),))
+        while p.degree < target:
+            f = _random_core_factor(rng, rng.randint(1, target - p.degree))
+            mult = 2 if 2 * f.degree <= target - p.degree and rng.random() < 0.25 else 1
+            p = p * f**mult
+        _assert_factors_match(p, x)
+
+
+def _assert_factors_match(p, x):
+    ours = factor_over_rationals(p)
+    _, theirs = sympy.Poly([_rat(c) for c in reversed(p.coeffs)], x).factor_list()
+    assert _normalized((f.coeffs, m) for f, m in ours) == _normalized(
+        (reversed(f.all_coeffs()), m) for f, m in theirs
+    ), p.format()
 
 
 def test_roots_in_disk_matches_numpy():

@@ -240,6 +240,22 @@ def test_dominant_growth_certifies_a_dominant_factor_with_complex_roots():
     assert all(sd.hypotheses.values())
 
 
+def test_dominant_growth_certifies_a_nine_by_nine_matrix():
+    # [[A, B], [0, C]]: A positive 5x5 with char poly (x + 1)(x^4 - 7x^3 -
+    # 18x^2 + 38x + 16), C the companion of x^4 + x + 1; degree 9 to factor
+    a = [[1, 2, 3, 1, 2], [2, 1, 1, 3, 1], [3, 1, 2, 2, 1], [1, 3, 1, 1, 2], [2, 2, 1, 3, 1]]
+    b = [[1, 0, 2, 1], [0, 1, 1, 0], [2, 0, 0, 1], [1, 1, 0, 0], [0, 2, 1, 1]]
+    c = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    m = RatMatrix([a[i] + b[i] for i in range(5)] + [[0] * 5 + c[i] for i in range(4)])
+    sd = dominant_growth(m, StateVector((1,) * 9))
+    quartic = UniPoly((16, 38, -18, -7, 1))
+    assert sd.factorization == ((UniPoly((1, 1)), 1), (UniPoly((1, 1, 0, 0, 1)), 1), (quartic, 1))
+    assert sd.factor == quartic
+    assert all(sd.hypotheses.values())
+    # numpy.linalg.eigvals gives the spectral radius 8.55882585862063
+    assert sd.mu1.decimal_enclosure(8) == ("8.55882585", "8.55882586")
+
+
 def _with_quartic_block(eigenvalue):
     # block diag(eigenvalue, companion of x^4 + 8x + 16), whose four complex
     # roots all have modulus about 2.12 while the Cauchy bound is 17
