@@ -186,10 +186,6 @@ class Configuration:
 
     def __post_init__(self) -> None:
         f = self.surface.form
-        # the plane section must split exactly as line times conic
-        section = f.set_variable(3, 0)
-        if section != self.line_form * self.conic_form:
-            raise ValueError("plane section does not split as line * conic")
         s0, s1 = self.line_span
         if not (self.on_line(s0) and self.on_line(s1)):
             raise ValueError("the line_span points must lie on L")
@@ -198,6 +194,14 @@ class Configuration:
         # F(s0 + t*s1) is the zero cubic exactly when F vanishes on all of L
         if any(_restriction(f, 3, s0.coords, s1.coords)):
             raise ValueError("the surface must contain L")
+        # the plane section, and R = dF/dx3 below, are read at x3 = 0
+        if set(self.plane_form.terms) != {(0, 0, 0, 1)}:
+            raise ValueError(
+                f"the marked plane must be x3 = 0, not {self.plane_form.format()} = 0"
+            )
+        # the plane section must split exactly as line times conic
+        if f.set_variable(3, 0) != self.line_form * self.conic_form:
+            raise ValueError("plane section does not split as line * conic")
         for name in ("p", "q", "a", "b"):
             if not self.on_line(getattr(self, name)):
                 raise ValueError(f"point {name} must lie on L")

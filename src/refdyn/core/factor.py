@@ -1,8 +1,8 @@
 """Factorization over the rationals by modular methods.
 
-Pipeline: square-free decomposition (Yun), stripping of the x^k content,
-then the Zassenhaus method on each primitive square-free core h, all in
-integers:
+Pipeline: square-free decomposition (Musser's form of Yun, on the Z[x]
+remainder sequence of `unipoly`), stripping of the x^k content, then the
+Zassenhaus method on each primitive square-free core h, all in integers:
 
 1. Screen.  Take a few primes p that divide neither lc(h) nor disc(h), so
    that h stays square-free mod p.  Distinct-degree factorization mod p gives
@@ -36,9 +36,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _exact_quotient, _primitive, _square_free_decomposition, _trim
 
 # good primes whose degree patterns the screen intersects, at most
 _SCREEN_PRIMES = 5
@@ -58,8 +58,8 @@ def factor_over_rationals(p: UniPoly) -> list[tuple[UniPoly, int]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     factors: dict[UniPoly, int] = {}
-    for sf, mult in p.square_free_decomposition():
-        for g in _factor_square_free([int(c) for c in sf.primitive().coeffs]):
+    for sf, mult in _square_free_decomposition(p._integer_form()[1]):
+        for g in _factor_square_free(sf):
             f = UniPoly(g)
             factors[f] = factors.get(f, 0) + mult
     return sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -211,35 +211,7 @@ def _recombine(h: list[int], lifted: list[list[int]], m: int, allowed: int) -> l
     return out
 
 
-def _primitive(g: list[int]) -> list[int]:
-    content = gcd(*g) * (1 if g[-1] > 0 else -1)
-    return [c // content for c in g]
-
-
-def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g when g divides f in Z[x], else None."""
-    if g[0] == 0 or f[0] % g[0]:
-        return None
-    rem = list(f)
-    dg = len(g) - 1
-    quot = [0] * (len(f) - dg)
-    for k in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[k + dg], g[-1])
-        if r:
-            return None
-        quot[k] = c
-        for i, b in enumerate(g):
-            rem[k + i] -= c * b
-    return None if any(rem) else quot
-
-
 # -- polynomials mod p ---------------------------------------------------------
-
-
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
 
 
 def _add(f: list[int], g: list[int], m: int | None) -> list[int]:

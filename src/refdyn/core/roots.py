@@ -2,7 +2,9 @@
 
 An AlgebraicReal is a square-free primitive integer polynomial together with
 an open rational interval containing exactly one of its real roots; the count
-is certified by a Sturm sequence, never by floating point.  Every comparison
+is certified by a Sturm chain, never by floating point.  The chain is one
+remainder sequence in Z[x] (see `unipoly`), and its first term is the
+square-free part, so it also tests square-freeness.  Every comparison
 of real algebraic numbers that feeds a certificate goes through the exact
 machinery here: interval refinement decides strict inequalities, and an
 exact tie is settled by one Sturm count of the gcd of the defining
@@ -20,18 +22,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rationals import RationalLike, as_rational, outward_decimals, rat_to_str
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _sturm
 
 
 def sturm_chain(f: UniPoly) -> list[UniPoly]:
-    """Sturm sequence of the square-free part of f."""
-    f = f.square_free_part()
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
+    """Sturm chain of the square-free part of f, headed by that part, primitive."""
+    return [UniPoly(t) for t in _sturm(f._integer_form()[1])]
 
 
 def _variations(values: list[Fraction]) -> int:
@@ -75,15 +71,14 @@ class AlgebraicReal:
         content, prim = poly.content_and_primitive()
         if content == 0:
             raise ValueError("zero polynomial")
-        prim_sf = prim.square_free_part().primitive()
-        if prim_sf != prim:
+        chain = sturm_chain(prim)
+        if chain[0] != prim:
             raise ValueError("defining polynomial must be square-free")
         if lo >= hi:
             raise ValueError("isolating interval must satisfy lo < hi")
         at_lo = prim(lo)
         if at_lo == 0 or prim(hi) == 0:
             raise ValueError("interval endpoints must not be roots")
-        chain = sturm_chain(prim)
         if sign_variations_at(chain, lo) - sign_variations_at(chain, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
         self.poly = prim
@@ -188,16 +183,12 @@ def isolate_real_roots(p: UniPoly) -> list[AlgebraicReal]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = p.square_free_part().primitive()
+    chain = sturm_chain(p)
+    sf = chain[0]
     if sf.degree < 1:
         return []
     bound = cauchy_root_bound(sf)
-    lo, hi = -bound - 1, bound + 1
-    while sf(lo) == 0:
-        lo -= 1
-    while sf(hi) == 0:
-        hi += 1
-    chain = sturm_chain(sf)
+    lo, hi = -bound - 1, bound + 1  # beyond every root: no end is a root
     out: list[AlgebraicReal] = []
 
     def split(a: Fraction, va: int, b: Fraction, vb: int) -> None:

@@ -5,6 +5,12 @@ the zero polynomial is the empty tuple and has degree -1 by convention.  All
 arithmetic is exact.  This class carries the characteristic and minimal
 polynomials of the integer matrices elsewhere in the package, so exact
 division, gcd and square-free decomposition are first-class operations.
+
+All of them run on one Z[x] kernel below: pseudo-division, exact division
+and a primitive remainder sequence with Sturm signs (Collins, J. ACM 14,
+1967; Brown and Traub, J. ACM 18, 1971).  The last term of the sequence is
+the gcd; the sequence of (f, f') divided by it is a Sturm chain of the
+square-free part of f, headed by the primitive square-free part.
 """
 
 from __future__ import annotations
@@ -136,32 +142,22 @@ class UniPoly:
         return Fraction(acc, den * q**self.degree)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact polynomial division with remainder over the rationals."""
+        """Exact polynomial division with remainder over the rationals: one
+        pseudo-division of the primitive parts, scaled back."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q_len = max(len(rem) - len(other.coeffs) + 1, 0)
-        quot = [Fraction(0)] * q_len
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and rem:
-            f = rem[-1] / lead
-            k = len(rem) - 1 - d
-            quot[k] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= f * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quot), UniPoly(rem)
+        ca, a = self._integer_form()
+        cb, b = other._integer_form()
+        quot, rem, n = _pseudo_divmod(a, b)
+        # lc(b)^n a = quot b + rem, with self = ca a and other = cb b
+        scale = ca / b[-1] ** n
+        return UniPoly(c * scale / cb for c in quot), UniPoly(c * scale for c in rem)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        return other.divmod(self)[1].is_zero()
 
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -174,20 +170,24 @@ class UniPoly:
     # -- gcd and square-free structure --------------------------------------
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd by the Euclidean algorithm over Q."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Monic gcd: the last term of the remainder sequence."""
+        seq = _remainder_sequence(self._integer_form()[1], other._integer_form()[1])
+        return UniPoly(seq[-1]).monic()
 
     @staticmethod
     def lcm(a: "UniPoly", b: "UniPoly") -> "UniPoly":
         if a.is_zero() or b.is_zero():
             return UniPoly.zero()
-        g = a.gcd(b)
-        return ((a * b) // g).monic()
+        return ((a * b) // a.gcd(b)).monic()
+
+    def _integer_form(self) -> tuple[Fraction, list[int]]:
+        """(content, primitive part as a list of ints); (0, []) for zero."""
+        if self.is_zero():
+            return Fraction(0), []
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        return Fraction(g, den), [v // g for v in ints]
 
     def content_and_primitive(self) -> tuple[Fraction, "UniPoly"]:
         """Write self = content * primitive with integer primitive part.
@@ -195,50 +195,23 @@ class UniPoly:
         The primitive part has coprime integer coefficients and a positive
         leading coefficient; the content is a rational (possibly negative).
         """
-        if self.is_zero():
-            return Fraction(0), UniPoly.zero()
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den), UniPoly(v // g for v in ints)
+        content, ints = self._integer_form()
+        return content, UniPoly(ints)
 
     def primitive(self) -> "UniPoly":
         return self.content_and_primitive()[1]
 
     def square_free_part(self) -> "UniPoly":
         """Monic product of the distinct irreducible factors."""
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
+        return UniPoly(_sturm(self._integer_form()[1])[0]).monic()
 
     def square_free_decomposition(self) -> list[tuple["UniPoly", int]]:
-        """Yun's algorithm: self = lc * prod g_i^i with the g_i square-free,
-        pairwise coprime and monic.  Factors with g_i = 1 are omitted."""
+        """self = lc * prod g_i^i with the g_i square-free, pairwise coprime and
+        monic.  Factors with g_i = 1 are omitted."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        f = self.monic()
-        if f.degree == 0:
-            return []
-        out: list[tuple[UniPoly, int]] = []
-        df = f.derivative()
-        a = f.gcd(df)
-        b = f // a
-        c = df // a
-        i = 1
-        while b.degree > 0:
-            d = c - b.derivative()
-            g = b.gcd(d)
-            if g.degree > 0:
-                out.append((g, i))
-            b = b // g
-            c = d // g
-            i += 1
-        return out
+        parts = _square_free_decomposition(self._integer_form()[1])
+        return [(UniPoly(s).monic(), i) for s, i in parts]
 
     # -- serialization -------------------------------------------------------
 
@@ -299,3 +272,94 @@ def poly_from_roots(roots: Sequence[RationalLike]) -> UniPoly:
     for r in roots:
         p = p * UniPoly((-as_rational(r), 1))
     return p
+
+
+# -- the Z[x] kernel -------------------------------------------------------------
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _primitive(g: list[int]) -> list[int]:
+    """g over its content, with positive leading coefficient; g nonzero."""
+    content = gcd(*g) * (1 if g[-1] > 0 else -1)
+    return [c // content for c in g]
+
+
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, n): lc(g)^n f = q g + r, deg r < deg g, n = max(deg f - deg g + 1, 0)."""
+    lead, dg = g[-1], len(g) - 1
+    n = max(len(f) - dg, 0)
+    quot = [0] * n
+    rem = list(f)
+    for k in range(n - 1, -1, -1):
+        # lead * rem - c x^k g drops the top term; k more steps scale quot[k]
+        c = rem.pop()
+        quot[k] = c * lead**k
+        rem = [lead * r for r in rem]
+        for i in range(dg):
+            rem[k + i] -= c * g[i]
+    return quot, _trim(rem), n
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g when g divides f in Z[x], else None; g nonzero."""
+    if f and g[0] and f[0] % g[0]:
+        return None
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [0] * (len(f) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + dg], g[-1])
+        if r:
+            return None
+        quot[k] = c
+        for i, b in enumerate(g):
+            rem[k + i] -= c * b
+    return None if any(rem) else quot
+
+
+def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
+    """f, g and their remainders up to the last nonzero one, a multiple of
+    gcd(f, g).  Each is -prem(a, b) sign(lc b)^n over its positive content: a
+    positive multiple of the Euclidean -rem(a, b), as a Sturm sequence needs."""
+    seq = [f]
+    while g:
+        seq.append(g)
+        _, r, n = _pseudo_divmod(f, g)
+        if r:
+            content = gcd(*r) * (1 if g[-1] < 0 and n % 2 else -1)
+            r = [c // content for c in r]
+        f, g = g, r
+    return seq
+
+
+def _sturm(f: list[int]) -> list[list[int]]:
+    """A Sturm chain of the square-free part of the primitive f: the remainder
+    sequence of (f, f') over its last term g, made primitive.  Every term is a
+    multiple of g, and one divisor keeps the sign variations where g != 0."""
+    seq = _remainder_sequence(f, [i * c for i, c in enumerate(f)][1:])
+    g = _primitive(seq[-1] or [1])
+    return [_exact_quotient(t, g) for t in seq]
+
+
+def _square_free_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
+    """(s_i, i) with the primitive nonzero f = prod s_i^i and the s_i primitive,
+    square-free, pairwise coprime and not constant, by Musser's form of Yun:
+    h = prod s_i heads the Sturm chain and g = f / h = prod s_i^(i-1); then
+    z = gcd(g, h) gives s_1 = h / z, and (g / z, z) repeats one index lower."""
+    h = _sturm(f)[0]
+    g = _exact_quotient(f, h)
+    out = []
+    i = 1
+    while len(h) > 1:
+        z = _primitive(_remainder_sequence(g, h)[-1])
+        s = _exact_quotient(h, z)
+        if len(s) > 1:
+            out.append((s, i))
+        g, h = _exact_quotient(g, z), z
+        i += 1
+    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .core import (
@@ -401,7 +402,10 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
         )
 
     if hypotheses["strictly_dominant"]:
-        if not _strictly_dominant(cp.square_free_part().primitive(), mu):
+        # the product of the primitive irreducible factors is the primitive
+        # square-free part of cp (Gauss's lemma)
+        square_free = prod((fac for fac, _ in factors), start=UniPoly.one())
+        if not _strictly_dominant(square_free, mu):
             hypotheses["strictly_dominant"] = False
             failures.append("strict dominance over the other roots not certified")
 

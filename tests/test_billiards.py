@@ -386,14 +386,15 @@ def test_reflect_on_line_with_a_rank_one_involution(cfg):
             assert reflect_on_line(degenerate, x) == degenerate.a
 
 
-def _with_x0_and_x2_swapped(cfg):
-    """The same configuration with x0 and x2 swapped: L is x0 = x3 = 0."""
-    x = [MultiPoly.variable(i, 4) for i in range(4)]
-    perm = [x[2], x[1], x[0], x[3]]
+def _with_swapped(cfg, i, j):
+    """The same configuration with x_i and x_j swapped."""
+    perm = [MultiPoly.variable(k, 4) for k in range(4)]
+    perm[i], perm[j] = perm[j], perm[i]
 
     def swap(pt):
-        c = pt.coords
-        return RationalPoint((c[2], c[1], c[0], c[3]))
+        c = list(pt.coords)
+        c[i], c[j] = c[j], c[i]
+        return RationalPoint(tuple(c))
 
     return Configuration(
         surface=CubicHypersurface(cfg.surface.form.substitute(perm)),
@@ -405,10 +406,18 @@ def _with_x0_and_x2_swapped(cfg):
     )
 
 
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_configuration_rejects_a_plane_other_than_x3(cfg, i):
+    # the same smooth surface with the plane x_i = 0 marked is named, not
+    # reported as a plane section that does not split
+    with pytest.raises(ValueError, match=rf"^the marked plane must be x3 = 0, not x{i} = 0$"):
+        _with_swapped(cfg, i, 3)
+
+
 def test_line_parameter_off_the_first_minor(cfg):
     # on L = {x0 = x3 = 0} the (0, 1) minor of the span vanishes and the
     # parameters come from the (1, 2) minor
-    swapped = _with_x0_and_x2_swapped(cfg)
+    swapped = _with_swapped(cfg, 0, 2)
     s0, s1 = swapped.line_span
     for u, v in ((1, 0), (0, 1), (3, -2), (Fraction(1, 3), 5)):
         pt = swapped.point_from_parameter(u, v)
@@ -422,7 +431,7 @@ def test_line_parameter_off_the_first_minor(cfg):
 def test_return_map_and_check_on_another_line(cfg):
     # the involution and rr follow line_form, so the swapped surface, smooth
     # on its L = {x0 = x3 = 0}, has the return map and certificate of seed 7
-    swapped = _with_x0_and_x2_swapped(cfg)
+    swapped = _with_swapped(cfg, 0, 2)
     assert return_map(swapped).to_obj() == [["1", "0"], ["3/5", "1/10"]]
     assert return_map(swapped).to_obj() == return_map(cfg).to_obj()
     assert check_configuration(swapped)["status"] == "success"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import refdyn.core.roots
+import refdyn.core.unipoly
 from refdyn.core import (
     AlgebraicReal,
     UniPoly,
@@ -107,6 +108,13 @@ def test_count_roots_in():
     assert count_roots_in(f, 1, 3) == 2  # half-open (1, 3]
 
 
+def test_count_roots_in_is_half_open_at_a_multiple_root():
+    # the double root 1 counts once in (0, 1] and not in (1, 3]
+    f = P(-1, 1) ** 2 * P(-3, 1)
+    assert count_roots_in(f, 0, 1) == 1
+    assert count_roots_in(f, 1, 3) == 1
+
+
 def test_algebraic_equal_and_cmp():
     r1 = isolate_real_roots(P(-2, 0, 1))[-1]
     r2 = isolate_real_roots(P(-2, 0, 1) * P(-1, 1))[-1]  # same sqrt(2)... roots: 1, ±sqrt2
@@ -204,6 +212,29 @@ def test_public_constructor_keeps_its_sturm_chain(monkeypatch):
     monkeypatch.setattr(refdyn.core.roots, "sturm_chain", counting)
     fine = AlgebraicReal(P(-2, 0, 1), 1, 2).refined(Fraction(1, 10**30))
     assert fine.width() < Fraction(1, 10**30)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AlgebraicReal(P(-2, 0, 1) * P(1, 2), 1, 2),
+        lambda: isolate_real_roots(P(-2, 0, 1) ** 2 * P(1, 2)),
+    ],
+    ids=["constructor", "isolation"],
+)
+def test_one_remainder_sequence_per_isolation(monkeypatch, build):
+    # the square-free part, the square-free test and the Sturm count all
+    # read the one remainder sequence of (p, p')
+    built = []
+    original = refdyn.core.unipoly._remainder_sequence
+
+    def counting(f, g):
+        built.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(refdyn.core.unipoly, "_remainder_sequence", counting)
+    build()
     assert len(built) == 1
 
 

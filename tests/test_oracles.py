@@ -40,6 +40,7 @@ from refdyn.core import (
     algebraic_cmp,
     algebraic_equal,
     char_poly,
+    count_roots_in,
     factor_over_rationals,
     field_kernel,
     isolate_real_roots,
@@ -265,6 +266,88 @@ def _assert_factors_match(p, x):
     assert _normalized((f.coeffs, m) for f, m in ours) == _normalized(
         (reversed(f.all_coeffs()), m) for f, m in theirs
     ), p.format()
+
+
+def _random_rational_poly(rng):
+    """Zero, a constant, a sum of a few monomials, or a rational multiple
+    (often negative) of x^k times a few rational factors of degree 1-2, some
+    squared or cubed."""
+    kind = rng.random()
+    if kind < 0.08:
+        return UniPoly.zero()
+    if kind < 0.16:
+        return UniPoly.constant(Fraction(rng.choice((-5, -1, 1, 3)), rng.randint(1, 4)))
+    if kind < 0.4:
+        # sparse: remainder sequences that skip degrees, where a negative
+        # leading coefficient to an odd power flips the sign of a term
+        coeffs = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)) for _ in range(4)]
+        terms = [UniPoly.monomial(rng.randint(0, 7), c) for c in coeffs[: rng.randint(2, 4)]]
+        return sum(terms, UniPoly.zero())
+    p = UniPoly.monomial(rng.choice((0, 0, 0, 1, 2)))
+    for _ in range(rng.randint(1, 3)):
+        low = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        f = UniPoly(low + [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))])
+        p = p * f ** rng.choice((1, 1, 2, 3))
+    return p.scale(Fraction(rng.choice((-6, -1, 1, 2)), rng.randint(1, 5)))
+
+
+def _sympy_poly(p: UniPoly):
+    return sympy.Poly([_rat(c) for c in reversed(p.coeffs)] or [0], sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy_poly(f) -> UniPoly:
+    return UniPoly(_from_sympy(f.all_coeffs()))
+
+
+def _rational_poly_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        f, g = _random_rational_poly(rng), _random_rational_poly(rng)
+        if rng.random() < 0.3:
+            shared = _random_rational_poly(rng)
+            f, g = f * shared, g * shared
+        yield f, g
+
+
+def test_gcd_matches_sympy():
+    for f, g in _rational_poly_pairs(51, 150):
+        assert f.gcd(g) == _from_sympy_poly(_sympy_poly(f).gcd(_sympy_poly(g))), (f, g)
+
+
+def test_square_free_part_and_decomposition_match_sympy():
+    for f, _ in _rational_poly_pairs(52, 150):
+        assert f.square_free_part() == _from_sympy_poly(_sympy_poly(f).sqf_part()), f
+        if f.is_zero():
+            with pytest.raises(ValueError):
+                f.square_free_decomposition()
+            continue
+        _, theirs = _sympy_poly(f).sqf_list()
+        assert f.square_free_decomposition() == [(_from_sympy_poly(s), m) for s, m in theirs], f
+
+
+def test_divmod_matches_sympy():
+    for f, g in _rational_poly_pairs(53, 150):
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f.divmod(g)
+            continue
+        q, r = _sympy_poly(f).div(_sympy_poly(g))
+        assert f.divmod(g) == (_from_sympy_poly(q), _from_sympy_poly(r)), (f, g)
+
+
+def test_count_roots_in_matches_sympy():
+    ends = [Fraction(k, 2) for k in range(-8, 9)]
+    ends += [Fraction(-5, 3), Fraction(1, 3), Fraction(7, 5)]
+    rng = random.Random(54)
+    for f, _ in _rational_poly_pairs(55, 150):
+        if f.is_zero():
+            continue
+        oracle = _sympy_poly(f)
+        for _ in range(4):
+            lo, hi = sorted(rng.sample(ends, 2))
+            # sympy counts distinct roots in [lo, hi]; drop lo for (lo, hi]
+            expected = oracle.count_roots(_rat(lo), _rat(hi)) - (f(lo) == 0)
+            assert count_roots_in(f, lo, hi) == expected, (f, lo, hi)
 
 
 def test_roots_in_disk_matches_numpy():
