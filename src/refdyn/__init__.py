@@ -3,7 +3,7 @@ cubic hypersurfaces, with certificates instead of floating point."""
 
 from .billiards import build_configuration, check_configuration, return_map
 from .core import AlgebraicReal, MultiPoly, RatMatrix, UniPoly
-from .elliptic import avoidance_check, avoidance_proof, first_return_word
+from .elliptic import avoidance_check, avoidance_proof
 from .germs import series_evolve, valuation_step, verify_minimal_pairs
 from .picard import degree_tuple_generic, single_reflection_action, two_point_action
 from .transitions import (
@@ -36,7 +36,6 @@ __all__ = [
     "degree_tuple",
     "degree_tuple_generic",
     "dominant_growth",
-    "first_return_word",
     "return_map",
     "series_evolve",
     "single_reflection_action",

@@ -135,30 +135,6 @@ def third_intersection(
     return RationalPoint(tuple(c2 * yi - c1 * pi for yi, pi in zip(y.coords, p.coords)))
 
 
-def tangent_third_point(
-    x: CubicHypersurface, p: RationalPoint, direction: Sequence
-) -> RationalPoint:
-    """Third intersection of a tangent line at p: the line p + t*d for a
-    tangent direction d meets the cubic doubly at p and once more at a
-    rational point.  Useful for generating rational surface points.
-
-    Write F(p + t*d) = c0 + c1*t + c2*t^2 + c3*t^3: p lies on the cubic
-    when c0 = 0, and d is tangent there when c1 = grad F(p).d = 0.  Then
-    F(p + t*d) = t^2*(c2 + c3*t), and the third point is c3*p - c2*d.
-    """
-    d = tuple(as_rational(c) for c in direction)
-    c0, c1, c2, c3 = _restriction(x.form, 3, p.coords, d)
-    if c0:
-        raise ValueError("the base point must lie on the cubic")
-    if c1:
-        raise ValueError("direction is not tangent at the base point")
-    if c3 == 0:
-        raise IndeterminacyError("tangent direction lies on the cubic")
-    if c2 == 0:
-        raise IndeterminacyError("triple contact: the third point is p itself")
-    return RationalPoint(tuple(c3 * pi - c2 * di for pi, di in zip(p.coords, d)))
-
-
 # ---------------------------------------------------------------------------
 # the marked configuration
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact arithmetic foundation: rationals, polynomials, series, matrices,
 real algebraic numbers and linear algebra over Q."""
 
-from .factor import factor_over_rationals, rational_roots
+from .factor import factor_over_rationals
 from .matrix import RatMatrix, char_poly, minimal_poly
-from .multipoly import MultiPoly, common_monomial_factor, divide_monomial
+from .multipoly import MultiPoly
 from .numberfield import field_kernel
 from .rationals import Rational, as_rational, outward_decimals, rat_from_str, rat_to_str
 from .roots import (
@@ -17,7 +17,7 @@ from .roots import (
     sturm_chain,
 )
 from .series import TruncatedSeries, TruncationExhausted, substitute_series, valuation
-from .unipoly import UniPoly, poly_from_roots
+from .unipoly import UniPoly
 
 __all__ = [
     "Rational",
@@ -26,10 +26,7 @@ __all__ = [
     "rat_from_str",
     "rat_to_str",
     "UniPoly",
-    "poly_from_roots",
     "MultiPoly",
-    "common_monomial_factor",
-    "divide_monomial",
     "TruncatedSeries",
     "TruncationExhausted",
     "substitute_series",
@@ -38,7 +35,6 @@ __all__ = [
     "char_poly",
     "minimal_poly",
     "factor_over_rationals",
-    "rational_roots",
     "AlgebraicReal",
     "isolate_real_roots",
     "sturm_chain",

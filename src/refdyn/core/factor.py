@@ -34,7 +34,6 @@ Computer Programming, vol. 2, section 4.6.2.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
@@ -43,7 +42,7 @@ from .unipoly import UniPoly, _exact_quotient, _primitive, _square_free_decompos
 # good primes whose degree patterns the screen intersects, at most
 _SCREEN_PRIMES = 5
 
-# Below factor_over_rationals and rational_roots, polynomials are lists of
+# Below factor_over_rationals, polynomials are lists of
 # ints, lowest degree first, with no zero leading coefficient; [] is zero.
 
 
@@ -63,37 +62,6 @@ def factor_over_rationals(p: UniPoly) -> list[tuple[UniPoly, int]]:
             f = UniPoly(g)
             factors[f] = factors.get(f, 0) + mult
     return sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial (each listed once,
-    multiplicity ignored), by the rational root theorem."""
-    p = p.primitive()
-    if p.degree <= 0:
-        return []
-    a0 = int(p.coeff(0))
-    an = int(p.leading())
-    if a0 == 0:
-        roots = rational_roots(p // UniPoly.x())
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        return sorted(roots)
-    found = []
-    for num in _divisors(abs(a0)):
-        for den in _divisors(abs(an)):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(cand) == 0 and cand not in found:
-                    found.append(cand)
-    return sorted(found)
-
-
-def _divisors(n: int) -> list[int]:
-    ds = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            ds.add(d)
-            ds.add(n // d)
-    return sorted(ds)
 
 
 def _factor_square_free(h: list[int]) -> list[list[int]]:

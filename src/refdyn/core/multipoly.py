@@ -307,26 +307,3 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.format()})"
 
-
-def common_monomial_factor(polys: Sequence[MultiPoly]) -> Exponents:
-    """Exponent vector of the largest monomial dividing every term of every
-    polynomial (zero polynomials are ignored)."""
-    nvars = polys[0].nvars
-    mins: list[int] | None = None
-    for p in polys:
-        for exps in p.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exps)]
-    return tuple(mins) if mins is not None else (0,) * nvars
-
-
-def divide_monomial(p: MultiPoly, factor: Exponents) -> MultiPoly:
-    out: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
-        ne = tuple(a - b for a, b in zip(exps, factor))
-        if any(e < 0 for e in ne):
-            raise ValueError("monomial does not divide every term")
-        out[ne] = c
-    return MultiPoly(p.nvars, out)

@@ -19,6 +19,7 @@ and the half whose ends give values of opposite sign holds the root.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import Sequence
 
 from .rationals import RationalLike, as_rational, outward_decimals, rat_to_str
@@ -107,16 +108,20 @@ class AlgebraicReal:
         return self.hi - self.lo
 
     def rational_value(self) -> Fraction | None:
-        """The root itself when it is rational, else None."""
+        """The root itself when it is rational, else None.
+
+        poly is primitive with leading coefficient lc > 0, so a rational root
+        is k/lc for an integer k: its denominator divides lc.  Once the
+        interval is narrower than 1/lc it holds at most one such point, the
+        first one past lo.
+        """
         if self.poly.degree == 1:
             a, b = self.poly.coeff(0), self.poly.coeff(1)
             return -a / b
-        from .factor import rational_roots
-
-        for q in rational_roots(self.poly):
-            if self.lo < q < self.hi:
-                return q
-        return None
+        lc = int(self.poly.leading())
+        cur = self.refined(Fraction(1, lc))
+        q = Fraction(floor(cur.lo * lc) + 1, lc)
+        return q if q < cur.hi and self.poly(q) == 0 else None
 
     def contains_rational(self, q: RationalLike) -> bool:
         """Whether the represented root equals the given rational exactly."""

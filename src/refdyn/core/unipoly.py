@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rationals import RationalLike, as_rational, rat_from_str, rat_to_str
 
@@ -264,14 +264,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self.format()})"
-
-
-def poly_from_roots(roots: Sequence[RationalLike]) -> UniPoly:
-    """prod (x - r) over the given rational roots."""
-    p = UniPoly.one()
-    for r in roots:
-        p = p * UniPoly((-as_rational(r), 1))
-    return p
 
 
 # -- the Z[x] kernel -------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Formal reflection orbits on a free abelian group over N symbols.
+"""Orbit avoidance for reflections through N points in general position.
 
 Reflecting a point y through a point x of a plane elliptic section sends it
-to -x - y for the section's group law.  For symbols p_1..p_N with no
-relations (the regime of points in general position) every orbit element is
-an integer coefficient vector and every equality test is exact.
+to -x - y for the section's group law.  For points p_1..p_N with no
+relations every orbit point is an integer combination of them, read here as
+a coefficient vector, so every equality test is exact.
 
 The general-position degree count rests on one statement: the orbit of a
 basis point under the cyclic word never reaches p_k just before the
@@ -16,80 +16,6 @@ horizon and stays as the reference simulation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class FormalPoint:
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple(int(c) for c in self.coefficients)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    @classmethod
-    def basis(cls, i: int, n: int) -> "FormalPoint":
-        if not 1 <= i <= n:
-            raise ValueError("basis index out of range")
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(n)))
-
-    def coefficient_of(self, i: int) -> int:
-        return self.coefficients[i - 1]
-
-
-@dataclass(frozen=True)
-class ReflectionWord:
-    """Reflection indices in the order they are applied."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if any(not 1 <= i <= self.n for i in self.indices):
-            raise ValueError("word index out of range")
-
-
-def reflect(i: int, x: FormalPoint) -> FormalPoint:
-    """y -> -p_i - y on coefficient vectors."""
-    if not 1 <= i <= x.n:
-        raise ValueError("reflection index out of range")
-    coeffs = [-c for c in x.coefficients]
-    coeffs[i - 1] -= 1
-    return FormalPoint(tuple(coeffs))
-
-
-def orbit(start: FormalPoint, word: ReflectionWord) -> list[FormalPoint]:
-    """start and all successive images under the word, exact."""
-    if word.n != start.n:
-        raise ValueError("word and point disagree on the symbol count")
-    points = [start]
-    cur = start
-    for i in word.indices:
-        cur = reflect(i, cur)
-        points.append(cur)
-    return points
-
-
-def first_return_word(n: int) -> ReflectionWord:
-    """The word returning p_1 to itself for an odd number of symbols,
-    verified: the orbit ends at p_1 and never meets a basis point earlier."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("first return requires an odd symbol count >= 3")
-    indices = tuple(range(2, n + 1)) + tuple(range(1, n + 1)) + (1,)
-    word = ReflectionWord(indices, n)
-    points = orbit(FormalPoint.basis(1, n), word)
-    if points[-1] != FormalPoint.basis(1, n):
-        raise AssertionError("first-return word failed to return")
-    basis = [FormalPoint.basis(k, n) for k in range(1, n + 1)]
-    if any(p in basis for p in points[1:-1]):
-        raise AssertionError("first-return orbit met a basis point early")
-    return word
 
 
 def avoidance_check(n: int, horizon: int) -> dict:

@@ -53,13 +53,6 @@ def two_point_action() -> PicardAction:
     return PicardAction(basis, matrix)
 
 
-def compose(a: PicardAction, b: PicardAction) -> PicardAction:
-    """Action of a-after-b on the shared basis."""
-    if a.basis != b.basis:
-        raise ValueError("cannot compose actions over different bases")
-    return PicardAction(a.basis, a.matrix * b.matrix)
-
-
 def degree_tuple_generic(n: int) -> tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal]:
     """Middle degree triple for a composition of n reflections in general
     position: (1, 1, 1) for n <= 2 (finite order / unipotent lattice action),

@@ -9,9 +9,8 @@ reflection is the quadratic map
 and composing it with itself multiplies every coordinate by -X1^3; the
 defining cubic is preserved up to the same factor.  Both identities are
 verified by exact symbolic expansion, never numerically.  The -X1^3 scalar
-is recorded as-is: maps store their components verbatim, and content removal
-is an explicit operation rather than a constructor side effect, so the exact
-identities stay visible.
+is recorded as-is: maps store their components verbatim, with no content
+removed, so the exact identities stay visible.
 
 The triangle charts put the three vertices at coordinate points with
 coordinate tangent hyperplanes; each reflection formula then has a single
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import MultiPoly, common_monomial_factor, divide_monomial
+from .core import MultiPoly
 
 NVARS = 6
 
@@ -108,18 +107,6 @@ class ProjectiveMap:
         return ProjectiveMap(
             tuple(c.substitute(inner.components) for c in self.components)
         )
-
-    def content_reduced(self) -> "ProjectiveMap":
-        """Divide out the common monomial factor of all components."""
-        factor = common_monomial_factor(self.components)
-        if all(e == 0 for e in factor):
-            return self
-        return ProjectiveMap(
-            tuple(divide_monomial(c, factor) for c in self.components)
-        )
-
-    def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
-        return tuple(c(point) for c in self.components)
 
     def __repr__(self) -> str:
         return "ProjectiveMap(" + ", ".join(c.format() for c in self.components) + ")"
@@ -249,16 +236,3 @@ def random_chart(seed: int = 0) -> TriangleChart:
 
     return TriangleChart(*(draw(p) for p in MONOMIAL_SUPPORTS))
 
-
-def triangle_formulas(
-    chart: TriangleChart,
-) -> tuple[ProjectiveMap, ProjectiveMap, ProjectiveMap]:
-    """The three vertex reflections of the chart: reflection l multiplies
-    every coordinate by x_l except slot QUADRIC_SLOTS[l], which carries q_l."""
-    quadrics = (chart.q0, chart.q1, chart.q2)
-    return tuple(  # type: ignore[return-value]
-        ProjectiveMap(
-            tuple(quadrics[l] if j == slot else _var(l) * _var(j) for j in range(NVARS))
-        )
-        for l, slot in enumerate(QUADRIC_SLOTS)
-    )

@@ -154,56 +154,13 @@ def iterate(sys: TransitionSystem, v0: StateVector, steps: int) -> list[StateVec
 # the line-conic system
 # ---------------------------------------------------------------------------
 
-# counted state: (points on the line L, points on the conic C, curve degree)
-
-
-def _check_line_conic_state(s: StateVector) -> tuple[int, int, int]:
-    if len(s.entries) != 3:
-        raise ValueError("line-conic states are 3-vectors (lambda, gamma, delta)")
-    lam, gam, delta = s.entries
-    if lam < 0 or gam < 0 or delta < 0:
-        raise ValueError("state entries must be nonnegative counts")
-    if lam > delta:
-        raise ValueError("inconsistent state: more points on L than the degree")
-    return lam, gam, delta
-
-
-def conic_line_step(s: StateVector, reflection: str) -> StateVector:
-    """One reflection applied to the state.
-
-    Reflecting through a point of L sends (lam, gam, delta) to
-    (delta, gam, 2*delta - lam); reflecting through the conic point swaps the
-    roles of L and C: (gam, lam + delta, 2*delta).  Chaining p, q, r
-    reproduces the one-cycle matrix of `conic_line_matrix` exactly.
-    """
-    lam, gam, delta = _check_line_conic_state(s)
-    if reflection in ("p", "q"):
-        nxt = (delta, gam, 2 * delta - lam)
-    elif reflection == "r":
-        nxt = (gam, lam + delta, 2 * delta)
-    else:
-        raise ValueError("reflection must be one of 'p', 'q', 'r'")
-    return StateVector(nxt, s.phase + 1)
-
-
-def conic_line_table_row(s: StateVector, reflection: str) -> StateVector:
-    """Cumulative state after applying the p,q,r cycle up through the given
-    reflection, starting from s; these are the rows of the bookkeeping table
-    (row q = two steps from s, row r = the full cycle = the matrix)."""
-    lam, gam, delta = _check_line_conic_state(s)
-    if reflection == "p":
-        nxt = (delta, gam, 2 * delta - lam)
-    elif reflection == "q":
-        nxt = (2 * delta - lam, gam, 3 * delta - 2 * lam)
-    elif reflection == "r":
-        nxt = (gam, 5 * delta - 3 * lam, 6 * delta - 4 * lam)
-    else:
-        raise ValueError("reflection must be one of 'p', 'q', 'r'")
-    return StateVector(nxt, s.phase)
-
 
 def conic_line_matrix() -> RatMatrix:
-    """Matrix of one full p,q,r cycle acting on (lambda, gamma, delta)^t."""
+    """Matrix of one full p,q,r cycle acting on the counted state
+    (lambda, gamma, delta)^t: points on the line L, points on the conic C and
+    the curve degree.  A reflection through a point of L sends the state to
+    (delta, gamma, 2*delta - lambda); the one through the conic point sends it
+    to (gamma, lambda + delta, 2*delta)."""
     return RatMatrix([[0, 1, 0], [-3, 0, 5], [-4, 0, 6]])
 
 
@@ -438,57 +395,6 @@ def dominant_growth(m: RatMatrix, v0: StateVector | Sequence[int]) -> SpectralDa
         char_polynomial=cp,
         factorization=factors,
     )
-
-
-# ---------------------------------------------------------------------------
-# growth diagnostics from integer sequences
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    ratios: tuple[Fraction, ...]
-    mth_roots: tuple[Fraction, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "ratios": [rat_to_str(r) for r in self.ratios],
-            "mth_roots": [rat_to_str(r) for r in self.mth_roots],
-        }
-
-
-def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def growth_estimate(seq: Sequence[int], digits: int = 9) -> GrowthEstimate:
-    """Ratio and m-th-root diagnostics for a positive integer degree sequence.
-
-    Ratios d_{m+1}/d_m are exact rationals; the m-th roots d_m^{1/m} are
-    fixed-precision approximations (floor at the given digit count), for
-    display only.
-    """
-    if not seq:
-        raise ValueError("empty sequence")
-    if any(s < 1 for s in seq):
-        raise ValueError("entries must be at least 1")
-    ratios = tuple(Fraction(b, a) for a, b in zip(seq, seq[1:]))
-    scale = 10**digits
-    roots = tuple(
-        Fraction(integer_nth_root(int(s) * scale**m, m), scale)
-        for m, s in enumerate(seq[1:], start=1)
-    )
-    return GrowthEstimate(ratios, roots)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from refdyn.billiards import (
     IndeterminacyError,
     MobiusMap,
     RationalPoint,
+    _restriction,
     apply_reflection,
     attractor_analysis,
     bad_points,
@@ -22,10 +23,9 @@ from refdyn.billiards import (
     reflect_on_line,
     residual_second_points,
     return_map,
-    tangent_third_point,
     third_intersection,
 )
-from refdyn.core import MultiPoly, RatMatrix
+from refdyn.core import MultiPoly, RatMatrix, as_rational
 
 
 FERMAT = CubicHypersurface(
@@ -82,6 +82,28 @@ def test_third_intersection_evaluates_the_cubic_four_times(monkeypatch):
     z = third_intersection(FERMAT, RationalPoint((1, -1, 0, 0)), RationalPoint((1, 0, -1, 0)))
     assert len(calls) == 4
     assert z == RationalPoint((0, 1, -1, 0))
+
+
+def tangent_third_point(x, p, direction):
+    """Third intersection of a tangent line at p: the line p + t*d for a
+    tangent direction d meets the cubic doubly at p and once more at a
+    rational point.  Generates rational surface points for the tests.
+
+    Write F(p + t*d) = c0 + c1*t + c2*t^2 + c3*t^3: p lies on the cubic
+    when c0 = 0, and d is tangent there when c1 = grad F(p).d = 0.  Then
+    F(p + t*d) = t^2*(c2 + c3*t), and the third point is c3*p - c2*d.
+    """
+    d = tuple(as_rational(c) for c in direction)
+    c0, c1, c2, c3 = _restriction(x.form, 3, p.coords, d)
+    if c0:
+        raise ValueError("the base point must lie on the cubic")
+    if c1:
+        raise ValueError("direction is not tangent at the base point")
+    if c3 == 0:
+        raise IndeterminacyError("tangent direction lies on the cubic")
+    if c2 == 0:
+        raise IndeterminacyError("triple contact: the third point is p itself")
+    return RationalPoint(tuple(c3 * pi - c2 * di for pi, di in zip(p.coords, d)))
 
 
 def test_tangent_third_point_rejects_a_base_point_off_the_cubic():

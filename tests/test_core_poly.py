@@ -8,10 +8,9 @@ from refdyn.core import (
     MultiPoly,
     UniPoly,
     factor_over_rationals,
-    poly_from_roots,
+    isolate_real_roots,
     rat_from_str,
     rat_to_str,
-    rational_roots,
 )
 
 
@@ -77,8 +76,9 @@ def test_unipoly_format():
 
 
 def test_rational_roots():
-    f = poly_from_roots([1, Fraction(-2, 3)]) * P(1, 0, 1)
-    assert rational_roots(f.primitive()) == [Fraction(-2, 3), Fraction(1)]
+    f = P(-2, -1, 3) * P(1, 0, 1)  # (x - 1)(3x + 2)(x^2 + 1)
+    roots = [r.rational_value() for r in isolate_real_roots(f)]
+    assert roots == [Fraction(-2, 3), Fraction(1)]
 
 
 # conic+line characteristic polynomial: factors checked by re-multiplication

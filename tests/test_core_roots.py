@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from refdyn.core import (
     cmp_with_rational,
     count_roots_in,
     isolate_real_roots,
-    poly_from_roots,
     sturm_chain,
 )
 from refdyn.core.roots import sign_variations_at
@@ -21,6 +21,14 @@ from refdyn.core.roots import sign_variations_at
 
 def P(*c):
     return UniPoly(c)
+
+
+def poly_from_roots(roots):
+    """prod (x - r) over the given rational roots."""
+    p = UniPoly.one()
+    for r in roots:
+        p = p * UniPoly((-Fraction(r), 1))
+    return p
 
 
 def test_isolate_quadratic_dominant_root():
@@ -55,6 +63,36 @@ def test_isolate_with_rational_roots_and_order():
         assert algebraic_cmp(a, b) == -1
     values = [r.rational_value() for r in roots]
     assert Fraction(-2) in values and Fraction(0) in values
+
+
+def _within_seconds(seconds, fn):
+    """fn() under a SIGALRM deadline, so that a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    except TimeoutError:
+        pass  # fail outside the except block, so the report skips the interrupted frames
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    pytest.fail(f"no result within {seconds} s")
+
+
+def test_rational_value_does_not_trial_divide_the_constant_term():
+    # trial division of the constant term would run to its square root,
+    # 10^12; the one candidate is the k/lc just past lo
+    big = 10**12
+    irrational = AlgebraicReal(P(-(big**2 + 7), 0, 1), big, big + 1)
+    rational = AlgebraicReal(P(-(big**2), 0, 1), big - 1, big + 1)
+    assert _within_seconds(5, irrational.rational_value) is None
+    assert _within_seconds(5, rational.rational_value) == big
+    # 4x^2 - 1 on (0, 1): the root 1/2 is the midpoint of every halving
+    assert _within_seconds(5, AlgebraicReal(P(-1, 0, 4), 0, 1).rational_value) == Fraction(1, 2)
 
 
 def test_isolate_rejects_zero():

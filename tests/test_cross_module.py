@@ -26,18 +26,6 @@ def test_quadric_slot_substitution_has_valuation_zero():
     assert valuation(image) == 0
 
 
-def test_reflection_image_component_valuations():
-    # full image of a transverse trait under the first vertex reflection:
-    # valuations before normalization are (2, 1, 1, 1, 1, 0)
-    from refdyn.reflection_maps import triangle_formulas
-
-    chart = random_chart(5)
-    trait = random_transverse_trait(seed=5, order=16)
-    sigma0 = triangle_formulas(chart)[0]
-    vals = [valuation(substitute_series(c, trait.series)) for c in sigma0.components]
-    assert vals == [2, 1, 1, 1, 1, 0]
-
-
 def test_fibration_preserves_log_concavity():
     mu = dominant_growth(
         triangle_cycle_product(), StateVector((1, 0, 0, 0, 0, 0))

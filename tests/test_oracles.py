@@ -1,7 +1,8 @@
 """The exact core against sympy: the elimination kernel, the polynomials
-built on it, factorization over Q, real root isolation and exact comparison
-of algebraic reals.  The Schur-Cohn disk count and the hypotheses of
-`dominant_growth` against numpy's floating-point roots and eigenvectors.
+built on it, factorization over Q, real root isolation, exact comparison
+of algebraic reals and their rational values.  The Schur-Cohn disk count
+and the hypotheses of `dominant_growth` against numpy's floating-point
+roots and eigenvectors.
 `MultiPoly.__call__` against term-by-term Fraction evaluation,
 `UniPoly.__call__` against a Fraction Horner pass, the billiards' reading of
 a form on a line against `MultiPoly.substitute`, `reflect_on_line`
@@ -212,6 +213,23 @@ def test_algebraic_equal_and_cmp_match_sympy():
                 expected = 0 if ta == tb else (-1 if ta < tb else 1)
                 assert algebraic_equal(a, b) == (expected == 0)
                 assert algebraic_cmp(a, b) == expected
+
+
+def test_rational_value_matches_sympy():
+    rng = random.Random(33)
+    x = sympy.Symbol("x")
+    for _ in range(60):
+        # planted roots a/b, zero and negative ones among them, with b up to
+        # 6 so that the leading coefficient is often above 1
+        p = UniPoly((1,))
+        for _ in range(rng.randint(1, 3)):
+            p = p * UniPoly((rng.choice((0, -12, -5, -2, -1, 1, 3, 7)), rng.randint(1, 6)))
+        p = p * _random_poly(rng, 3)
+        theirs = sympy.Poly([_rat(c) for c in reversed(p.coeffs)], x).ground_roots()
+        for r in isolate_real_roots(p):
+            inside = [q for q in theirs if _rat(r.lo) < q < _rat(r.hi)]
+            expected = Fraction(int(inside[0].p), int(inside[0].q)) if inside else None
+            assert r.rational_value() == expected, (p.format(), r)
 
 
 def _normalized(pairs):

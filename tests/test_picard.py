@@ -2,9 +2,7 @@ import pytest
 
 from refdyn.core import RatMatrix, UniPoly, char_poly
 from refdyn.picard import (
-    PicardAction,
     PicardBasis,
-    compose,
     degree_tuple_generic,
     single_reflection_action,
     two_point_action,
@@ -43,23 +41,6 @@ def test_two_point_action_is_not_diagonalizable():
     diff = m - RatMatrix.identity(4)
     assert any(x != 0 for row in diff.entries for x in row)
     assert diff * diff != RatMatrix.zero(4, 4)  # rank stays positive at the square
-
-
-def test_compose():
-    s = single_reflection_action()
-    ident = PicardAction(s.basis, RatMatrix.identity(3))
-    assert compose(s, s).matrix == RatMatrix.identity(3)
-    assert compose(s, ident).matrix == s.matrix
-    t = two_point_action()
-    squared = compose(t, t)
-    assert char_poly(squared.matrix) == UniPoly((-1, 1)) ** 4
-
-
-def test_compose_rejects_basis_mismatch():
-    with pytest.raises(ValueError):
-        compose(single_reflection_action(), PicardAction(
-            PicardBasis(("A", "B", "C")), RatMatrix.identity(3)
-        ))
 
 
 def test_basis_labels_distinct():

@@ -1,20 +1,18 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from refdyn.core import MultiPoly
+from refdyn.core import MultiPoly, substitute_series, valuation
+from refdyn.germs import random_transverse_trait
 from refdyn.reflection_maps import (
     MONOMIAL_SUPPORTS,
     NVARS,
     QUADRIC_SLOTS,
     AdaptedCubic,
     ProjectiveMap,
+    TriangleChart,
     monomial_pair,
     random_adapted_cubic,
     random_chart,
     single_reflection_formula,
-    triangle_formulas,
     verify_involution,
     verify_preserves_cubic,
 )
@@ -24,12 +22,26 @@ def V(i):
     return MultiPoly.variable(i, NVARS)
 
 
+def triangle_formulas(
+    chart: TriangleChart,
+) -> tuple[ProjectiveMap, ProjectiveMap, ProjectiveMap]:
+    """The three vertex reflections of the chart: reflection l multiplies
+    every coordinate by x_l except slot QUADRIC_SLOTS[l], which carries q_l."""
+    quadrics = (chart.q0, chart.q1, chart.q2)
+    return tuple(
+        ProjectiveMap(
+            tuple(quadrics[l] if j == slot else V(l) * V(j) for j in range(NVARS))
+        )
+        for l, slot in enumerate(QUADRIC_SLOTS)
+    )
+
+
 def test_degenerate_formula_reduces_to_signed_identity():
+    # with q = 0 the reflection is X1 times (X0 : -X1 : ... : -X5)
     ac = AdaptedCubic(MultiPoly.zero(NVARS), V(2) ** 3)
     sigma = single_reflection_formula(ac)
-    assert sigma.components[0] == V(0) * V(1)
-    reduced = sigma.content_reduced()
-    assert reduced.components == (V(0), -V(1), -V(2), -V(3), -V(4), -V(5))
+    signed = (V(0), -V(1), -V(2), -V(3), -V(4), -V(5))
+    assert sigma.components == tuple(V(1) * c for c in signed)
 
 
 def test_formula_components_for_generic_q():
@@ -146,19 +158,11 @@ def test_triangle_formulas_fix_vertex_plane():
         assert restricted == expected
 
 
-def test_content_reduction_idempotent_and_projectively_equal():
-    rng = random.Random(7)
-    ac = random_adapted_cubic(4)
-    sigma = single_reflection_formula(ac)
-    scaled = ProjectiveMap(tuple(V(1) * V(1) * c for c in sigma.components))
-    reduced = scaled.content_reduced()
-    assert reduced.content_reduced() == reduced
-    for _ in range(10):
-        pt = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(NVARS))
-        before = scaled.evaluate(pt)
-        after = reduced.evaluate(pt)
-        # same projective point: cross-ratios of coordinates agree
-        k = next(i for i, v in enumerate(after) if v)
-        assert all(
-            before[i] * after[k] == before[k] * after[i] for i in range(NVARS)
-        )
+def test_reflection_image_component_valuations():
+    # full image of a transverse trait under the first vertex reflection:
+    # valuations before normalization are (2, 1, 1, 1, 1, 0)
+    chart = random_chart(5)
+    trait = random_transverse_trait(seed=5, order=16)
+    sigma0 = triangle_formulas(chart)[0]
+    vals = [valuation(substitute_series(c, trait.series)) for c in sigma0.components]
+    assert vals == [2, 1, 1, 1, 1, 0]

@@ -15,14 +15,10 @@ from refdyn.transitions import (
     TransitionSystem,
     check_log_concavity,
     conic_line_matrix,
-    conic_line_step,
     conic_line_system,
-    conic_line_table_row,
     degree_tuple,
     dominant_growth,
     fibration_degrees,
-    growth_estimate,
-    integer_nth_root,
     inverse_tuple,
     iterate,
     triangle_cycle_product,
@@ -45,6 +41,54 @@ DISPLAYED_CYCLE_PRODUCT = RatMatrix(
 
 
 # -- line-conic steps ----------------------------------------------------------
+
+# The reflection-by-reflection bookkeeping that derives conic_line_matrix.
+# A state counts (points on the line L, points on the conic C, curve degree).
+
+
+def _check_line_conic_state(s: StateVector) -> tuple[int, int, int]:
+    if len(s.entries) != 3:
+        raise ValueError("line-conic states are 3-vectors (lambda, gamma, delta)")
+    lam, gam, delta = s.entries
+    if lam < 0 or gam < 0 or delta < 0:
+        raise ValueError("state entries must be nonnegative counts")
+    if lam > delta:
+        raise ValueError("inconsistent state: more points on L than the degree")
+    return lam, gam, delta
+
+
+def conic_line_step(s: StateVector, reflection: str) -> StateVector:
+    """One reflection applied to the state.
+
+    Reflecting through a point of L sends (lam, gam, delta) to
+    (delta, gam, 2*delta - lam); reflecting through the conic point swaps the
+    roles of L and C: (gam, lam + delta, 2*delta).  Chaining p, q, r
+    reproduces the one-cycle matrix of `conic_line_matrix` exactly.
+    """
+    lam, gam, delta = _check_line_conic_state(s)
+    if reflection in ("p", "q"):
+        nxt = (delta, gam, 2 * delta - lam)
+    elif reflection == "r":
+        nxt = (gam, lam + delta, 2 * delta)
+    else:
+        raise ValueError("reflection must be one of 'p', 'q', 'r'")
+    return StateVector(nxt, s.phase + 1)
+
+
+def conic_line_table_row(s: StateVector, reflection: str) -> StateVector:
+    """Cumulative state after applying the p,q,r cycle up through the given
+    reflection, starting from s; these are the rows of the bookkeeping table
+    (row q = two steps from s, row r = the full cycle = the matrix)."""
+    lam, gam, delta = _check_line_conic_state(s)
+    if reflection == "p":
+        nxt = (delta, gam, 2 * delta - lam)
+    elif reflection == "q":
+        nxt = (2 * delta - lam, gam, 3 * delta - 2 * lam)
+    elif reflection == "r":
+        nxt = (gam, 5 * delta - 3 * lam, 6 * delta - 4 * lam)
+    else:
+        raise ValueError("reflection must be one of 'p', 'q', 'r'")
+    return StateVector(nxt, s.phase)
 
 
 def test_step_p_from_initial_state():
@@ -354,38 +398,6 @@ def test_dominant_growth_matches_sequence_ratio():
     ratio = Fraction(blocks[-1], blocks[-2])
     mu3 = sd3.mu1.refined(Fraction(1, 10**9))
     assert abs(ratio - mu3.lo) < Fraction(1, 10**6)
-
-
-# -- growth diagnostics ----------------------------------------------------------
-
-
-def test_growth_estimate_examples():
-    ge = growth_estimate([1, 6, 36, 196, 1056])
-    assert ge.ratios == (
-        Fraction(6),
-        Fraction(6),
-        Fraction(49, 9),
-        Fraction(264, 49),
-    )
-    ge2 = growth_estimate([5, 5, 5])
-    assert ge2.ratios == (Fraction(1), Fraction(1))
-    ge3 = growth_estimate([1, 2, 4, 8, 16])
-    assert ge3.ratios == (Fraction(2),) * 4
-    assert all(abs(r - 2) < Fraction(1, 10**8) for r in ge3.mth_roots)
-
-
-def test_growth_estimate_errors():
-    with pytest.raises(ValueError):
-        growth_estimate([])
-    with pytest.raises(ValueError):
-        growth_estimate([1, 0, 2])
-
-
-def test_integer_nth_root():
-    assert integer_nth_root(0, 3) == 0
-    assert integer_nth_root(26, 3) == 2
-    assert integer_nth_root(27, 3) == 3
-    assert integer_nth_root(10**18, 2) == 10**9
 
 
 # -- tuple utilities ---------------------------------------------------------------
