@@ -12,7 +12,6 @@ from .roots import (
     algebraic_equal,
     cauchy_root_bound,
     cmp_with_rational,
-    count_roots_in,
     isolate_real_roots,
     sturm_chain,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "AlgebraicReal",
     "isolate_real_roots",
     "sturm_chain",
-    "count_roots_in",
     "cauchy_root_bound",
     "algebraic_cmp",
     "algebraic_equal",

@@ -281,6 +281,16 @@ def _primitive(g: list[int]) -> list[int]:
     return [c // content for c in g]
 
 
+def _sign_at(f: list[int], p: int, q: int) -> int:
+    """-1, 0 or 1: the sign of f at p/q, q > 0.  One homogeneous Horner pass
+    gives sum_i f_i p^i q^(deg - i) = q^deg f(p/q), which has that sign."""
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
+
+
 def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
     """(q, r, n): lc(g)^n f = q g + r, deg r < deg g, n = max(deg f - deg g + 1, 0)."""
     lead, dg = g[-1], len(g) - 1

@@ -12,7 +12,9 @@ component along the dominant eigenspace, and the dominant eigenvector must
 see the first coordinate.  Both eigenvector tests read the adjugate of
 mu1 I - m, written as a polynomial in mu1 with integer Krylov vectors, modulo
 the minimal polynomial of mu1.  No floating point is used anywhere in the
-certificate.
+certificate, and no Fraction in its inner loops: the Schur-Cohn table and
+the adjugate tests run on integer coefficient lists with the Z[x] kernel of
+`core.unipoly`, and `core.roots` refines mu1 by integer signs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core import (
     isolate_real_roots,
     rat_to_str,
 )
+from .core.unipoly import _primitive, _pseudo_divmod, _trim
 
 
 class CertificationError(RuntimeError):
@@ -253,19 +256,22 @@ class SpectralData:
 def _roots_in_disk(h: UniPoly, r: Fraction) -> int | None:
     """Number of roots of h in |z| < r (rational r > 0), with multiplicity,
     by the counting form of the Schur-Cohn test; None when its table is
-    singular.  h must be nonzero."""
-    # substitute x = r*y and count in the unit disk
-    h = UniPoly(c * r**i for i, c in enumerate(h.coeffs)).primitive()
+    singular.  h must be nonzero.  The table runs in Z[x]: it records only
+    each degree and the sign of delta, which no nonzero scaling changes."""
+    # substitute x = r*y, r = p/q, clear q^deg and count in the unit disk
+    f = h._integer_form()[1]
+    p, q, deg = r.numerator, r.denominator, len(f) - 1
+    f = _primitive([c * p**i * q ** (deg - i) for i, c in enumerate(f)])
     steps: list[tuple[int, bool]] = []
-    while h.degree >= 1:
-        a0, an = h.coeff(0), h.leading()
+    while len(f) > 1:
+        a0, an = f[0], f[-1]
         delta = an * an - a0 * a0
         if delta == 0:
             return None
-        steps.append((h.degree, delta > 0))
-        rev = UniPoly(tuple(reversed(h.coeffs)))
-        # the constant term cancels exactly; shift down by one degree
-        h = UniPoly((h.scale(an) - rev.scale(a0)).coeffs[1:]).primitive()
+        steps.append((len(f) - 1, delta > 0))
+        # the constant term cancels exactly and the top one is delta != 0;
+        # shift down by one degree
+        f = _primitive([an * c - a0 * b for c, b in zip(f, reversed(f))][1:])
     # the next polynomial g has x*g = a_n*h - a_0*h*, where h* has the reciprocal
     # roots and |h*| = |h| on |z| = 1.  By Rouche, x*g has as many roots inside as
     # h when delta > 0, and as many as h* (deg - k of them) when delta < 0.  A
@@ -298,13 +304,17 @@ def _strictly_dominant(sf: UniPoly, mu: AlgebraicReal) -> bool:
 def _adjugate_sees(cp: UniPoly, krylov: list, modulus: UniPoly) -> bool:
     """Whether sum_k q_k(theta) * krylov[k] is nonzero at a root theta of the
     irreducible `modulus`.  With q_k = cp.coeffs[k+1:] read as a polynomial,
-    adj(x I - m) = sum_k q_k(x) m^k for cp the characteristic polynomial of m."""
-    qs = [UniPoly(cp.coeffs[k + 1 :]) for k in range(len(krylov))]
+    adj(x I - m) = sum_k q_k(x) m^k for cp the characteristic polynomial of m.
+    Each component is an integer polynomial, and modulus divides it iff the
+    pseudo-remainder is zero."""
+    cs = [c.numerator for c in cp.coeffs]  # m is an integer matrix
+    mod = modulus._integer_form()[1]
     for i in range(len(krylov[0])):
-        component = UniPoly.zero()
-        for q, v in zip(qs, krylov):
-            component = component + q.scale(v[i])
-        if not (component % modulus).is_zero():
+        component = [0] * (len(cs) - 1)
+        for k, v in enumerate(krylov):
+            for j, c in enumerate(cs[k + 1 :]):
+                component[j] += c * v[i]
+        if _pseudo_divmod(_trim(component), mod)[1]:
             return True
     return False
 

@@ -12,8 +12,8 @@ from refdyn.core import (
     algebraic_cmp,
     algebraic_equal,
     cmp_with_rational,
-    count_roots_in,
     isolate_real_roots,
+    outward_decimals,
     sturm_chain,
 )
 from refdyn.core.roots import sign_variations_at
@@ -21,6 +21,13 @@ from refdyn.core.roots import sign_variations_at
 
 def P(*c):
     return UniPoly(c)
+
+
+def count_roots_in(f, lo, hi):
+    """Number of distinct real roots of f in the half-open interval (lo, hi]:
+    a Sturm count."""
+    chain = sturm_chain(f)
+    return sign_variations_at(chain, lo) - sign_variations_at(chain, hi)
 
 
 def poly_from_roots(roots):
@@ -290,13 +297,13 @@ def test_each_halving_evaluates_once(monkeypatch, make):
     root = make()
     known = root._lo_positive is not None
     calls = []
-    original = UniPoly.__call__
+    original = refdyn.core.roots._sign_at
 
-    def counting(self, x):
-        calls.append(x)
-        return original(self, x)
+    def counting(f, p, q):
+        calls.append(Fraction(p, q))
+        return original(f, p, q)
 
-    monkeypatch.setattr(UniPoly, "__call__", counting)
+    monkeypatch.setattr(refdyn.core.roots, "_sign_at", counting)
     fine = root.refined(root.width() / 2**40)
     assert fine.width() == root.width() / 2**41
     assert len(calls) == 41 + (not known)
@@ -327,3 +334,95 @@ def test_algebraic_cmp_separates_a_close_convergent():
     assert algebraic_cmp(sqrt2, line) == -1
     assert algebraic_cmp(line, sqrt2) == 1
     assert algebraic_cmp(sqrt2, AlgebraicReal.from_rational(close)) == -1
+
+
+def test_algebraic_equal_builds_one_remainder_sequence(monkeypatch):
+    # the gcd's sequence decides the tie; its signs at the overlap's ends
+    # need no Sturm chain
+    a = AlgebraicReal(P(-2, 0, 1) * P(-1, 1), Fraction(5, 4), 2)
+    b = AlgebraicReal(P(-2, 0, 1) * P(-3, 1), 1, 2)
+    # gcd x^2 - 2 is not constant, but has no root in the overlap (0, 1)
+    one = AlgebraicReal(P(-2, 0, 1) * P(-1, 1), 0, Fraction(5, 4))
+    half = AlgebraicReal(P(-2, 0, 1) * P(-1, 2), 0, 1)
+    built = []
+    original = refdyn.core.unipoly._remainder_sequence
+
+    def counting(f, g):
+        built.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(refdyn.core.unipoly, "_remainder_sequence", counting)
+    assert algebraic_equal(a, b)
+    assert len(built) == 1
+    assert not algebraic_equal(one, half)
+    assert not algebraic_equal(a, one)  # disjoint intervals: no gcd at all
+    assert len(built) == 2
+
+
+# -- the halving before integer signs, kept as an oracle ---------------------------
+
+
+def _fraction_bisect_once(poly, lo, hi, lo_positive):
+    """One halving on a Fraction midpoint, valued by UniPoly.__call__."""
+    mid = (lo + hi) / 2
+    at_mid = poly(mid)
+    if at_mid == 0:
+        delta = min(mid - lo, hi - mid) / 4
+        while poly(mid - delta) == 0 or poly(mid + delta) == 0:
+            delta /= 2
+        return mid - delta, mid + delta, None
+    if lo_positive is None:
+        lo_positive = poly(lo) > 0
+    if (at_mid > 0) != lo_positive:
+        return lo, mid, lo_positive
+    return mid, hi, at_mid > 0
+
+
+def _fraction_refined(root, eps):
+    lo, hi, lo_positive = root.lo, root.hi, None
+    while hi - lo >= eps:
+        lo, hi, lo_positive = _fraction_bisect_once(root.poly, lo, hi, lo_positive)
+    return lo, hi
+
+
+def _refinement_cases():
+    rng = random.Random(25)
+    roots = []
+    for _ in range(40):
+        # leading coefficients other than powers of two put the Cauchy-bound
+        # ends of isolation off the dyadic grid
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        f = P(*coeffs, rng.choice((1, 3, 5, 6, 7, -3)))
+        roots += isolate_real_roots(f.square_free_part().primitive())
+    roots.append(AlgebraicReal(P(-1, 0, 2), Fraction(1, 3), Fraction(5, 7)))
+    # the first midpoint, 1, is the root
+    roots.append(AlgebraicReal(P(-1, 1) * P(-5, 0, 1), 0, 2))
+    return roots
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [Fraction(1, 10**12), Fraction(3, 1000), Fraction(2, 7**9), Fraction(1, 2**30)],
+    ids=["1e-12", "3/1000", "2/7^9", "2^-30"],
+)
+def test_refinement_ends_on_the_fraction_bisection(eps):
+    for root in _refinement_cases():
+        fine = root.refined(eps)
+        assert (fine.lo, fine.hi) == _fraction_refined(root, eps), root
+        assert fine.width() < eps
+
+
+def test_each_halving_matches_the_fraction_bisection():
+    for root in _refinement_cases():
+        cur, state = root, (root.lo, root.hi, None)
+        for _ in range(25):
+            cur = cur._bisect_once()
+            state = _fraction_bisect_once(root.poly, *state)
+            assert (cur.lo, cur.hi) == state[:2], root
+
+
+def test_decimal_enclosure_matches_the_fraction_bisection():
+    for root in _refinement_cases():
+        for digits in (3, 9, 12):
+            lo, hi = _fraction_refined(root, Fraction(1, 10**digits))
+            assert root.decimal_enclosure(digits) == outward_decimals(lo, hi, digits)

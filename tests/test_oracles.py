@@ -41,12 +41,13 @@ from refdyn.core import (
     algebraic_cmp,
     algebraic_equal,
     char_poly,
-    count_roots_in,
     factor_over_rationals,
     field_kernel,
     isolate_real_roots,
     minimal_poly,
+    sturm_chain,
 )
+from refdyn.core.roots import sign_variations_at
 from refdyn.transitions import CertificationError, _roots_in_disk, dominant_growth
 
 sympy = pytest.importorskip("sympy")
@@ -361,11 +362,13 @@ def test_count_roots_in_matches_sympy():
         if f.is_zero():
             continue
         oracle = _sympy_poly(f)
+        chain = sturm_chain(f)
         for _ in range(4):
             lo, hi = sorted(rng.sample(ends, 2))
             # sympy counts distinct roots in [lo, hi]; drop lo for (lo, hi]
             expected = oracle.count_roots(_rat(lo), _rat(hi)) - (f(lo) == 0)
-            assert count_roots_in(f, lo, hi) == expected, (f, lo, hi)
+            count = sign_variations_at(chain, lo) - sign_variations_at(chain, hi)
+            assert count == expected, (f, lo, hi)
 
 
 def test_roots_in_disk_matches_numpy():

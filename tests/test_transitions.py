@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,43 @@ def test_roots_in_disk_compares_moduli():
     # a root at 0 and a double root: x^2 (x - 1/2)^2 (x - 3)
     g = UniPoly((0, 0, Fraction(1, 4), -1, 1)) * UniPoly((-3, 1))
     assert _roots_in_disk(g, 1) == 4
+
+
+def _fraction_roots_in_disk(h, r):
+    """The Schur-Cohn count on Fraction polynomials, kept as an oracle."""
+    h = UniPoly(c * r**i for i, c in enumerate(h.coeffs)).primitive()
+    steps = []
+    while h.degree >= 1:
+        a0, an = h.coeff(0), h.leading()
+        delta = an * an - a0 * a0
+        if delta == 0:
+            return None
+        steps.append((h.degree, delta > 0))
+        rev = UniPoly(tuple(reversed(h.coeffs)))
+        h = UniPoly((h.scale(an) - rev.scale(a0)).coeffs[1:]).primitive()
+    k = 0
+    for deg, larger in reversed(steps):
+        k = k + 1 if larger else deg - 1 - k
+    return k
+
+
+def test_roots_in_disk_matches_the_fraction_table():
+    rng = random.Random(25)
+    cases = [(UniPoly((-4, 0, 1)), Fraction(2)), (UniPoly((Fraction(-9, 4), 0, 1)), Fraction(3, 2))]
+    for k in range(400):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 7))]
+        h = UniPoly(coeffs + [Fraction(rng.choice((-5, -1, 1, 2, 3)), rng.randint(1, 4))])
+        r = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+        if k % 4 == 0:
+            # a root on |z| = r makes the table singular
+            h = h * rng.choice((UniPoly((-r, 1)), UniPoly((r, 1)), UniPoly((r * r, 0, 1))))
+        cases.append((h, r))
+    singular = 0
+    for h, r in cases:
+        expected = _fraction_roots_in_disk(h, r)
+        assert _roots_in_disk(h, r) == expected, (h, r)
+        singular += expected is None
+    assert singular > 100
 
 
 @pytest.mark.parametrize(
